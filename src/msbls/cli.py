@@ -64,8 +64,6 @@ def _parse_role_addr(values):
               show_default=True, help="Message backend for the protocol sessions.")
 @click.option("--listen", multiple=True,
               help="ROLE=HOST:PORT listen address (tcp transport; repeatable).")
-@click.option("--connect", multiple=True,
-              help="ROLE=HOST:PORT dial address (tcp transport; repeatable).")
 @click.option("--mask-range", type=float, default=1e3, show_default=True,
               help="Masks are drawn uniformly from (-range, range).")
 @click.option("--zero-masks", is_flag=True,
@@ -76,10 +74,9 @@ def _parse_role_addr(values):
 @click.option("--summary", "show_summary", is_flag=True, help="Print a comparison table.")
 def main(dataset, train_images, train_labels, test_images, test_labels, data_dir,
          train_size, test_size, split_text, n, dz, m, dh, ridge, activation, seed,
-         reps, baselines, transport, listen, connect, mask_range, zero_masks, out,
+         reps, baselines, transport, listen, mask_range, zero_masks, out,
          show_summary):
     """Train and evaluate the masked two-client model and its baselines."""
-    del connect  # dial addresses default to the listen addresses in-process
     try:
         config = ExperimentConfig(
             dataset=dataset,

@@ -164,6 +164,19 @@ def _endpoints_for(config: ExperimentConfig):
     return make_bus_endpoints()
 
 
+def _session(config: ExperimentConfig, x_a, x_b, rngs: PartyRngs, keys=None):
+    """One protocol session on freshly opened endpoints, closed afterwards."""
+    endpoints = _endpoints_for(config)
+    try:
+        return run_protocol(
+            x_a, x_b, config.hyper, rngs, keys=keys, endpoints=endpoints,
+            mask_range=config.mask_range, zero_masks=config.zero_masks,
+        )
+    finally:
+        for ep in endpoints.values():
+            ep.close()
+
+
 def _fit_readout(zn, enh_keys, labels, num_classes, hyper):
     hm = bls.enhancement_features(zn, enh_keys, hyper.activation)
     weights = bls.train_output_weights(zn, hm, one_hot(labels, num_classes), hyper.ridge)
@@ -184,19 +197,16 @@ def run_msbls(train: LabeledDataset, test: LabeledDataset, config: ExperimentCon
     test_a, test_b = _split_pair(test, config.split, streams["split_test"])
 
     t0 = time.perf_counter()
-    session_train = run_protocol(
+    session_train = _session(
+        config,
         train_a.x,
         train_b.x,
-        hyper,
         PartyRngs(
             mask=streams["masks_train"],
             key_a=streams["key_a"],
             key_b=streams["key_b"],
             mix=streams["mix"],
         ),
-        endpoints=_endpoints_for(config),
-        mask_range=config.mask_range,
-        zero_masks=config.zero_masks,
     )
     zn_train = session_train.mapped_features
     enh_keys = bls.generate_enhancement_keys(hyper, streams["enhancement"])
@@ -204,15 +214,8 @@ def run_msbls(train: LabeledDataset, test: LabeledDataset, config: ExperimentCon
     weights, train_pred = _fit_readout(zn_train, enh_keys, train_labels, train.num_classes, hyper)
     train_time = time.perf_counter() - t0
 
-    session_test = run_protocol(
-        test_a.x,
-        test_b.x,
-        hyper,
-        PartyRngs(mask=streams["masks_test"]),
-        keys=session_train.keys,
-        endpoints=_endpoints_for(config),
-        mask_range=config.mask_range,
-        zero_masks=config.zero_masks,
+    session_test = _session(
+        config, test_a.x, test_b.x, PartyRngs(mask=streams["masks_test"]), keys=session_train.keys
     )
     zn_test = session_test.mapped_features
     test_pred = _predict(zn_test, enh_keys, weights, hyper)

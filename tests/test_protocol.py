@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -385,6 +387,40 @@ class TamperEndpoint:
         self._inner.close()
 
 
+class RewriteEndpoint:
+    """Replaces fields of one received message before the party sees it."""
+
+    def __init__(self, inner, seq, rewrite):
+        self._inner = inner
+        self._seq = seq
+        self._rewrite = rewrite
+        self.role = inner.role
+
+    def send(self, msg):
+        self._inner.send(msg)
+
+    def recv(self, sender, timeout=None):
+        msg = self._inner.recv(sender, timeout)
+        if msg.seq == self._seq:
+            msg = dataclasses.replace(msg, **self._rewrite(msg))
+        return msg
+
+    def close(self):
+        self._inner.close()
+
+
+RECEIVER_OF_SEQ = {
+    1: Role.CLIENT_A, 2: Role.CLIENT_B, 3: Role.CLIENT_B, 4: Role.CLIENT_A,
+    5: Role.SERVER, 6: Role.CLIENT_B, 7: Role.CLIENT_A, 8: Role.CLIENT_A,
+    9: Role.CLIENT_B, 10: Role.SERVER, 11: Role.SERVER, 12: Role.SERVER,
+}
+
+
+def widen_first_payload(msg):
+    first, *rest = msg.payloads
+    return {"payloads": (np.hstack([first, np.zeros((first.shape[0], 1))]), *rest)}
+
+
 class TestAbort:
     def test_out_of_order_message_aborts_and_zeroizes(self):
         hyper = BlsHyperParams(map_groups=2, map_dim=4)
@@ -446,3 +482,27 @@ class TestAbort:
         )
         with pytest.raises(ProtocolAbort):
             server.result()
+
+    def _assert_tampered_session_aborts(self, seq, rewrite):
+        hyper = BlsHyperParams(map_groups=2, map_dim=4)
+        rng = np.random.default_rng(11)
+        xa, xb = rng.uniform(0, 1, (4, 3)), rng.uniform(0, 1, (5, 3))
+        receiver = RECEIVER_OF_SEQ[seq]
+        endpoints = make_bus_endpoints()
+        endpoints[receiver] = RewriteEndpoint(endpoints[receiver], seq, rewrite)
+        with pytest.raises(ProtocolAbort) as excinfo:
+            run_protocol(xa, xb, hyper, party_rngs(12), endpoints=endpoints, timeout_s=2.0)
+        assert (excinfo.value.role, excinfo.value.seq) == (receiver, seq)
+        for party in excinfo.value.parties.values():
+            assert party.aborted
+            assert party.view_matrices() == {}
+
+    @pytest.mark.parametrize("seq", range(1, 13))
+    def test_wrong_payload_shape_aborts_at_receiver(self, seq):
+        self._assert_tampered_session_aborts(seq, widen_first_payload)
+
+    def test_foreign_session_id_aborts(self):
+        self._assert_tampered_session_aborts(3, lambda msg: {"session_id": bytes(16)})
+
+    def test_misdelivered_message_aborts(self):
+        self._assert_tampered_session_aborts(3, lambda msg: {"receiver": Role.SERVER})
