@@ -28,6 +28,7 @@ import numpy as np
 from . import bls
 from .datasets import LabeledDataset, SplitPlan, desk_dataset, load_idx, one_hot, split_dataset
 from .linalg import RNG_ALGORITHM, RngStream, derive_streams
+from .messages import Role
 from .protocol import DEFAULT_MASK_RANGE, PartyRngs, run_protocol
 from .transport import make_bus_endpoints, make_tcp_endpoints
 
@@ -142,31 +143,20 @@ def _config_echo(config: ExperimentConfig) -> dict:
     }
 
 
-def _split_seed(stream: RngStream, plan: SplitPlan) -> int:
+def _split_pair(ds, plan, stream):
     # Mix the plan's own seed into the derived stream seed so explicit plan
     # seeds stay honored while per-run seeds still vary the partition.
-    return (stream.seed ^ (plan.seed * 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF
-
-
-def _split_pair(ds, plan, stream):
-    effective = SplitPlan(mode=plan.mode, ratio_a=plan.ratio_a, seed=_split_seed(stream, plan))
-    return split_dataset(ds, effective)
-
-
-def _endpoints_for(config: ExperimentConfig):
-    if config.transport == "tcp":
-        listen = None
-        if config.listen:
-            from .messages import Role
-
-            listen = {Role[k.upper()]: v for k, v in config.listen.items()}
-        return make_tcp_endpoints(listen=listen)
-    return make_bus_endpoints()
+    seed = (stream.seed ^ (plan.seed * 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF
+    return split_dataset(ds, SplitPlan(mode=plan.mode, ratio_a=plan.ratio_a, seed=seed))
 
 
 def _session(config: ExperimentConfig, x_a, x_b, rngs: PartyRngs, keys=None):
     """One protocol session on freshly opened endpoints, closed afterwards."""
-    endpoints = _endpoints_for(config)
+    if config.transport == "tcp":
+        listen = {Role[k.upper()]: v for k, v in (config.listen or {}).items()}
+        endpoints = make_tcp_endpoints(listen=listen)
+    else:
+        endpoints = make_bus_endpoints()
     try:
         return run_protocol(
             x_a, x_b, config.hyper, rngs, keys=keys, endpoints=endpoints,
@@ -177,21 +167,74 @@ def _session(config: ExperimentConfig, x_a, x_b, rngs: PartyRngs, keys=None):
             ep.close()
 
 
-def _fit_readout(zn, enh_keys, labels, num_classes, hyper):
-    hm = bls.enhancement_features(zn, enh_keys, hyper.activation)
-    weights = bls.train_output_weights(zn, hm, one_hot(labels, num_classes), hyper.ridge)
-    predictions = bls.predict_labels(np.hstack([zn, hm]), weights)
-    return weights, predictions
+def _fit_and_evaluate(
+    baseline: str,
+    train: LabeledDataset,
+    config: ExperimentConfig,
+    seed: int,
+    started: float,
+    zn_train: np.ndarray,
+    train_labels: np.ndarray,
+    test_features,
+    test_labels: np.ndarray,
+    enh_stream: RngStream,
+    mix_key: np.ndarray,
+    wire=None,
+) -> RunResult:
+    """Fit the readout on ``zn_train``, score the train and test rows, and
+    build the run's report, model and result.
 
+    ``started`` is the clock reading taken before the training features
+    were made; ``train_time_s`` stops after the fit, before
+    ``test_features()`` makes the test features. The report's message and
+    byte counts are those of ``wire``, the training session, if there is one.
+    """
+    hyper = config.hyper
+    enh_keys = bls.generate_enhancement_keys(hyper, enh_stream)
+    hm = bls.enhancement_features(zn_train, enh_keys, hyper.activation)
+    weights = bls.train_output_weights(
+        zn_train, hm, one_hot(train_labels, train.num_classes), hyper.ridge
+    )
+    train_pred = bls.predict_labels(np.hstack([zn_train, hm]), weights)
+    train_time = time.perf_counter() - started
+    del hm  # release the training enhancement block before the test rows are mapped
 
-def _predict(zn, enh_keys, weights, hyper):
-    hm = bls.enhancement_features(zn, enh_keys, hyper.activation)
-    return bls.predict_labels(np.hstack([zn, hm]), weights)
+    zn_test = test_features()
+    hm_test = bls.enhancement_features(zn_test, enh_keys, hyper.activation)
+    test_pred = bls.predict_labels(np.hstack([zn_test, hm_test]), weights)
+
+    report = MetricsReport(
+        baseline=baseline,
+        seed=seed,
+        dataset=train.name,
+        split=config.split.describe(),
+        train_accuracy=accuracy(train_pred, train_labels),
+        test_accuracy=accuracy(test_pred, test_labels),
+        train_time_s=train_time,
+        message_count=wire.message_count if wire else 0,
+        bytes_on_wire=wire.bytes_on_wire if wire else 0,
+        config=_config_echo(config),
+    )
+    model = bls.BlsModel(
+        mix_key=mix_key,
+        enhancement_keys=enh_keys,
+        output_weights=weights,
+        hyperparams=hyper,
+    )
+    return RunResult(
+        report=report,
+        model=model,
+        train_mapped=zn_train,
+        test_mapped=zn_test,
+        train_predictions=train_pred,
+        test_predictions=test_pred,
+        train_labels=train_labels,
+        test_labels=test_labels,
+    )
 
 
 def run_msbls(train: LabeledDataset, test: LabeledDataset, config: ExperimentConfig, seed: int) -> RunResult:
     """Protocol-backed training and evaluation for one seed."""
-    hyper = config.hyper
     streams = derive_streams(seed, list(_STREAMS))
     train_a, train_b = _split_pair(train, config.split, streams["split_train"])
     test_a, test_b = _split_pair(test, config.split, streams["split_test"])
@@ -208,48 +251,27 @@ def run_msbls(train: LabeledDataset, test: LabeledDataset, config: ExperimentCon
             mix=streams["mix"],
         ),
     )
-    zn_train = session_train.mapped_features
-    enh_keys = bls.generate_enhancement_keys(hyper, streams["enhancement"])
-    train_labels = np.concatenate([train_a.labels, train_b.labels])
-    weights, train_pred = _fit_readout(zn_train, enh_keys, train_labels, train.num_classes, hyper)
-    train_time = time.perf_counter() - t0
+    session_test = None
 
-    session_test = _session(
-        config, test_a.x, test_b.x, PartyRngs(mask=streams["masks_test"]), keys=session_train.keys
-    )
-    zn_test = session_test.mapped_features
-    test_pred = _predict(zn_test, enh_keys, weights, hyper)
-    test_labels = np.concatenate([test_a.labels, test_b.labels])
+    def test_features():
+        nonlocal session_test
+        session_test = _session(
+            config, test_a.x, test_b.x, PartyRngs(mask=streams["masks_test"]), keys=session_train.keys
+        )
+        return session_test.mapped_features
 
-    report = MetricsReport(
-        baseline="msbls",
-        seed=seed,
-        dataset=train.name,
-        split=config.split.describe(),
-        train_accuracy=accuracy(train_pred, train_labels),
-        test_accuracy=accuracy(test_pred, test_labels),
-        train_time_s=train_time,
-        message_count=session_train.message_count,
-        bytes_on_wire=session_train.bytes_on_wire,
-        config=_config_echo(config),
-    )
-    model = bls.BlsModel(
+    result = _fit_and_evaluate(
+        "msbls", train, config, seed, t0,
+        zn_train=session_train.mapped_features,
+        train_labels=np.concatenate([train_a.labels, train_b.labels]),
+        test_features=test_features,
+        test_labels=np.concatenate([test_a.labels, test_b.labels]),
+        enh_stream=streams["enhancement"],
         mix_key=session_train.keys.mix_key,
-        enhancement_keys=enh_keys,
-        output_weights=weights,
-        hyperparams=hyper,
+        wire=session_train,
     )
-    return RunResult(
-        report=report,
-        model=model,
-        train_mapped=zn_train,
-        test_mapped=zn_test,
-        train_predictions=train_pred,
-        test_predictions=test_pred,
-        train_labels=train_labels,
-        test_labels=test_labels,
-        train_sessions=(session_train, session_test),
-    )
+    result.train_sessions = (session_train, session_test)
+    return result
 
 
 def run_non_privacy(train: LabeledDataset, test: LabeledDataset, config: ExperimentConfig, seed: int) -> RunResult:
@@ -266,89 +288,34 @@ def run_non_privacy(train: LabeledDataset, test: LabeledDataset, config: Experim
 
     t0 = time.perf_counter()
     zn_train = bls.joint_mapped_features(train_a.x, train_b.x, key_a, key_b, mix_key)
-    enh_keys = bls.generate_enhancement_keys(hyper, streams["enhancement"])
-    train_labels = np.concatenate([train_a.labels, train_b.labels])
-    weights, train_pred = _fit_readout(zn_train, enh_keys, train_labels, train.num_classes, hyper)
-    train_time = time.perf_counter() - t0
-
-    zn_test = bls.joint_mapped_features(test_a.x, test_b.x, key_a, key_b, mix_key)
-    test_pred = _predict(zn_test, enh_keys, weights, hyper)
-    test_labels = np.concatenate([test_a.labels, test_b.labels])
-
-    report = MetricsReport(
-        baseline="nbls",
-        seed=seed,
-        dataset=train.name,
-        split=config.split.describe(),
-        train_accuracy=accuracy(train_pred, train_labels),
-        test_accuracy=accuracy(test_pred, test_labels),
-        train_time_s=train_time,
-        message_count=0,
-        bytes_on_wire=0,
-        config=_config_echo(config),
-    )
-    model = bls.BlsModel(
+    return _fit_and_evaluate(
+        "nbls", train, config, seed, t0,
+        zn_train=zn_train,
+        train_labels=np.concatenate([train_a.labels, train_b.labels]),
+        test_features=lambda: bls.joint_mapped_features(test_a.x, test_b.x, key_a, key_b, mix_key),
+        test_labels=np.concatenate([test_a.labels, test_b.labels]),
+        enh_stream=streams["enhancement"],
         mix_key=mix_key,
-        enhancement_keys=enh_keys,
-        output_weights=weights,
-        hyperparams=hyper,
-    )
-    return RunResult(
-        report=report,
-        model=model,
-        train_mapped=zn_train,
-        test_mapped=zn_test,
-        train_predictions=train_pred,
-        test_predictions=test_pred,
-        train_labels=train_labels,
-        test_labels=test_labels,
     )
 
 
 def _run_own_model(shard: LabeledDataset, test: LabeledDataset, config: ExperimentConfig,
                    seed: int, stream: RngStream, tag: str) -> RunResult:
     hyper = config.hyper
-    d = shard.x.shape[1]
     sub = derive_streams(stream.seed, ["map", "mix", "enh"])
-    map_key = bls.generate_full_map_key(d, hyper, sub["map"])
+    map_key = bls.generate_full_map_key(shard.x.shape[1], hyper, sub["map"])
     mix_key = bls.generate_mix_key(hyper, sub["mix"])
-    enh_keys = bls.generate_enhancement_keys(hyper, sub["enh"])
 
     t0 = time.perf_counter()
     zn_train = bls.mapped_features_simplified(bls.augment(shard.x), map_key, mix_key)
-    weights, train_pred = _fit_readout(zn_train, enh_keys, shard.labels, shard.num_classes, hyper)
-    train_time = time.perf_counter() - t0
-
-    zn_test = bls.mapped_features_simplified(bls.augment(test.x), map_key, mix_key)
-    test_pred = _predict(zn_test, enh_keys, weights, hyper)
-
-    report = MetricsReport(
-        baseline=tag,
-        seed=seed,
-        dataset=shard.name,
-        split=config.split.describe(),
-        train_accuracy=accuracy(train_pred, shard.labels),
-        test_accuracy=accuracy(test_pred, test.labels),
-        train_time_s=train_time,
-        message_count=0,
-        bytes_on_wire=0,
-        config=_config_echo(config),
-    )
-    model = bls.BlsModel(
-        mix_key=mix_key,
-        enhancement_keys=enh_keys,
-        output_weights=weights,
-        hyperparams=hyper,
-    )
-    return RunResult(
-        report=report,
-        model=model,
-        train_mapped=zn_train,
-        test_mapped=zn_test,
-        train_predictions=train_pred,
-        test_predictions=test_pred,
+    return _fit_and_evaluate(
+        tag, shard, config, seed, t0,
+        zn_train=zn_train,
         train_labels=shard.labels,
+        test_features=lambda: bls.mapped_features_simplified(bls.augment(test.x), map_key, mix_key),
         test_labels=test.labels,
+        enh_stream=sub["enh"],
+        mix_key=mix_key,
     )
 
 

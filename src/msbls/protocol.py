@@ -30,7 +30,7 @@ and every party zeroizes its held matrices.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -78,26 +78,17 @@ def draw_mask_set(
     mask_range: float,
     zero_masks: bool = False,
 ) -> MaskSet:
+    # In MaskSet field order: data mask, key mask, cross mask.
+    shapes = ((n_rows, d + 1), (d + 1, half_width), (n_rows, half_width))
     if zero_masks:
-        return MaskSet(
-            data_mask=np.zeros((n_rows, d + 1)),
-            key_mask=np.zeros((d + 1, half_width)),
-            cross_mask=np.zeros((n_rows, half_width)),
-        )
-    lo, hi = -mask_range, mask_range
-    return MaskSet(
-        data_mask=rng.uniform(lo, hi, n_rows, d + 1),
-        key_mask=rng.uniform(lo, hi, d + 1, half_width),
-        cross_mask=rng.uniform(lo, hi, n_rows, half_width),
-    )
+        return MaskSet(*(np.zeros(shape) for shape in shapes))
+    return MaskSet(*(rng.uniform(-mask_range, mask_range, *shape) for shape in shapes))
 
 
 # Pure per-step calculations, shared by both directional passes.
 
 def blind_data(x_aug, data_mask) -> np.ndarray:
     """Data holder's step: additively mask the augmented rows."""
-    x_aug = as_matrix(x_aug, "x_aug")
-    data_mask = as_matrix(data_mask, "data_mask")
     if x_aug.shape != data_mask.shape:
         raise ValueError(
             f"shape mismatch: data {x_aug.shape} vs mask {data_mask.shape}"
@@ -107,7 +98,6 @@ def blind_data(x_aug, data_mask) -> np.ndarray:
 
 def blind_key_and_cross(blinded_data, key_half, key_mask, cross_mask):
     """Key holder's step: mask the key and the product with the blinded data."""
-    blinded_data = as_matrix(blinded_data, "blinded_data")
     if key_half.shape != key_mask.shape:
         raise ValueError(
             f"shape mismatch: key {key_half.shape} vs mask {key_mask.shape}"
@@ -169,9 +159,19 @@ _EXPECTED = {
     ),
 }
 
+# The message each client sends once its scheduled receives are done.
+_OWN_PRODUCT = {
+    Role.CLIENT_A: (11, MessageKind.OWN_PRODUCT_A),
+    Role.CLIENT_B: (12, MessageKind.OWN_PRODUCT_B),
+}
+
 
 class Party:
-    """Base state machine: strict receive schedule, held-matrix registry."""
+    """Base state machine: strict receive schedule, held-matrix registry.
+
+    Payloads arrive validated by ``ProtocolMessage``; handlers check only
+    that their shapes fit this party's state.
+    """
 
     role: Role
 
@@ -181,10 +181,17 @@ class Party:
         self._cursor = 0
         self._mats: dict[str, np.ndarray] = {}
 
-    def _hold(self, name: str, value) -> np.ndarray:
-        mat = as_matrix(value, name)
+    def _hold(self, name: str, mat: np.ndarray) -> np.ndarray:
         self._mats[name] = mat
         return mat
+
+    def _hold_key(self, name: str, key, shape: tuple[int, int]) -> np.ndarray:
+        """Validate a key and hold a copy of it."""
+        # Copy so a later zeroize cannot destroy caller-persisted keys.
+        held = self._hold(name, as_matrix(np.array(key, dtype=np.float64, copy=True), name))
+        if held.shape != shape:
+            raise ValueError(f"{name} must be {shape}, got {held.shape}")
+        return held
 
     def view_matrices(self) -> dict[str, np.ndarray]:
         """Everything this party has stored; used by confinement checks."""
@@ -224,24 +231,15 @@ class Party:
                 f"expected seq {seq} {kind.name} from {sender.name}, "
                 f"got seq {msg.seq} {msg.kind.name} from {msg.sender.name}",
             )
-        out = getattr(self, f"_on_seq{seq}")(msg)
+        out = getattr(self, f"_on_{kind.name.lower()}")(msg)
         self._cursor += 1
+        if self.expected_receive() is None:
+            out += self._finish()
         return out
 
-    def _init_key(self, key, key_rng: RngStream | None) -> np.ndarray:
-        if key is None:
-            if key_rng is None:
-                raise ValueError(
-                    f"{self.role.name} needs either a persisted key half or a key stream"
-                )
-            key = key_rng.standard_normal(self.d + 1, self.half_width)
-        # Copy so a later zeroize cannot destroy caller-persisted keys.
-        held = self._hold("key", np.array(key, dtype=np.float64, copy=True))
-        if held.shape != (self.d + 1, self.half_width):
-            raise ValueError(
-                f"key half must be {(self.d + 1, self.half_width)}, got {held.shape}"
-            )
-        return held
+    def _finish(self) -> list[ProtocolMessage]:
+        """Work due after the last scheduled receive."""
+        return []
 
     def _msg(self, seq, receiver, kind, payloads) -> ProtocolMessage:
         return ProtocolMessage(
@@ -288,14 +286,8 @@ class ServerParty(Party):
                 raise ValueError("need either a persisted mix key or a mix stream")
             self.mix_key = None
         else:
-            # Copy so a later zeroize cannot destroy caller-persisted keys.
-            self.mix_key = self._hold(
-                "mix_key", np.array(mix_key, dtype=np.float64, copy=True)
-            )
-            if self.mix_key.shape != (hyper.mapped_width, hyper.mapped_width):
-                raise ValueError(
-                    f"mix key must be {hyper.mapped_width}x{hyper.mapped_width}"
-                )
+            width = hyper.mapped_width
+            self.mix_key = self._hold_key("mix_key", mix_key, (width, width))
         # Both passes' masks are drawn up front; the mirrored pass gets fresh
         # draws sized to the other client's row count.
         self.masks_ab = draw_mask_set(n_a, d, self.half_width, mask_rng, mask_range, zero_masks)
@@ -306,47 +298,41 @@ class ServerParty(Party):
             self._hold(f"cross_mask_{tag}", ms.cross_mask)
         self.mapped_features = None
 
+    def _open_pass(self, seq, data_holder, key_holder, masks: MaskSet) -> list[ProtocolMessage]:
+        """Send one directional pass's masks: seq to the data holder, seq + 1 to the key holder."""
+        return [
+            self._msg(seq, data_holder, MessageKind.DATA_MASK, [masks.data_mask]),
+            self._msg(
+                seq + 1, key_holder, MessageKind.KEY_MASKS, [masks.key_mask, masks.cross_mask]
+            ),
+        ]
+
     def start(self) -> list[ProtocolMessage]:
-        return [
-            self._msg(1, Role.CLIENT_A, MessageKind.DATA_MASK, [self.masks_ab.data_mask]),
-            self._msg(
-                2,
-                Role.CLIENT_B,
-                MessageKind.KEY_MASKS,
-                [self.masks_ab.key_mask, self.masks_ab.cross_mask],
-            ),
-        ]
+        return self._open_pass(1, Role.CLIENT_A, Role.CLIENT_B, self.masks_ab)
 
-    def _on_seq5(self, msg) -> list[ProtocolMessage]:
+    def _on_unblinded_cross(self, msg) -> list[ProtocolMessage]:
         (partial,) = msg.payloads
-        self._check_shape(5, partial, (self.n_a, self.half_width), "unblinded cross")
-        self._hold("cross_ab", recover_cross_product(partial, self.masks_ab))
-        return [
-            self._msg(6, Role.CLIENT_B, MessageKind.DATA_MASK, [self.masks_ba.data_mask]),
-            self._msg(
-                7,
-                Role.CLIENT_A,
-                MessageKind.KEY_MASKS,
-                [self.masks_ba.key_mask, self.masks_ba.cross_mask],
-            ),
-        ]
-
-    def _on_seq10(self, msg) -> list[ProtocolMessage]:
-        (partial,) = msg.payloads
-        self._check_shape(10, partial, (self.n_b, self.half_width), "unblinded cross")
+        if msg.sender == Role.CLIENT_A:
+            self._check_shape(msg.seq, partial, (self.n_a, self.half_width), "unblinded cross")
+            self._hold("cross_ab", recover_cross_product(partial, self.masks_ab))
+            return self._open_pass(6, Role.CLIENT_B, Role.CLIENT_A, self.masks_ba)
+        self._check_shape(msg.seq, partial, (self.n_b, self.half_width), "unblinded cross")
         self._hold("cross_ba", recover_cross_product(partial, self.masks_ba))
         return []
 
-    def _on_seq11(self, msg) -> list[ProtocolMessage]:
+    def _on_own_product_a(self, msg) -> list[ProtocolMessage]:
         (own,) = msg.payloads
-        self._check_shape(11, own, (self.n_a, self.half_width), "own product A")
+        self._check_shape(msg.seq, own, (self.n_a, self.half_width), "own product A")
         self._hold("own_a", own)
         return []
 
-    def _on_seq12(self, msg) -> list[ProtocolMessage]:
+    def _on_own_product_b(self, msg) -> list[ProtocolMessage]:
         (own,) = msg.payloads
-        self._check_shape(12, own, (self.n_b, self.half_width), "own product B")
+        self._check_shape(msg.seq, own, (self.n_b, self.half_width), "own product B")
         self._hold("own_b", own)
+        return []
+
+    def _finish(self) -> list[ProtocolMessage]:
         if self.mix_key is None:
             # The mix key is drawn only once every block has arrived and
             # never leaves the server.
@@ -354,16 +340,18 @@ class ServerParty(Party):
                 "mix_key",
                 self._mix_rng.standard_normal(self.hyper.mapped_width, self.hyper.mapped_width),
             )
-        self.mapped_features = self._hold(
-            "mapped_features",
-            assemble_mapped_features(
-                self._mats["own_a"],
-                self._mats["cross_ab"],
-                self._mats["cross_ba"],
-                self._mats["own_b"],
-                self.mix_key,
-            ),
+        features = assemble_mapped_features(
+            self._mats["own_a"],
+            self._mats["cross_ab"],
+            self._mats["cross_ba"],
+            self._mats["own_b"],
+            self.mix_key,
         )
+        # No message carries the features, so nothing else checks them
+        # before they are released.
+        if not np.all(np.isfinite(features)):
+            self.abort(12, "mapped features contain non-finite entries")
+        self.mapped_features = self._hold("mapped_features", features)
         return []
 
     def result(self) -> np.ndarray:
@@ -372,116 +360,62 @@ class ServerParty(Party):
         return self.mapped_features
 
 
-class ClientAParty(Party):
-    """Data holder in the first pass, key holder in the mirrored pass."""
+class ClientParty(Party):
+    """One client: the data holder in its own pass, the key holder in its peer's.
 
-    role = Role.CLIENT_A
+    Client A holds the data in the first pass (seq 1-5) and client B in the
+    mirrored pass (seq 6-10); each handler answers within the pass of the
+    message it received.
+    """
 
     def __init__(
         self,
         session_id: bytes,
+        role: Role,
         x,
         hyper: BlsHyperParams,
         key_rng: RngStream | None = None,
         key=None,
     ):
         super().__init__(session_id)
-        x = as_matrix(x, "x")
-        self.d = x.shape[1]
-        self.n_rows = x.shape[0]
-        self.half_width = hyper.half_width
+        if role not in _OWN_PRODUCT:
+            raise ValueError(f"{role.name} is not a client role")
+        self.role = role
+        self.peer = Role.CLIENT_B if role == Role.CLIENT_A else Role.CLIENT_A
         self.x_aug = self._hold("x_aug", augment(x))
-        self.key = self._init_key(key, key_rng)
+        self.n_rows, self.d = self.x_aug.shape[0], self.x_aug.shape[1] - 1
+        self.half_width = hyper.half_width
+        if key is None:
+            if key_rng is None:
+                raise ValueError(
+                    f"{role.name} needs either a persisted key half or a key stream"
+                )
+            key = key_rng.standard_normal(self.d + 1, self.half_width)
+        self.key = self._hold_key("key", key, (self.d + 1, self.half_width))
         self.peer_rows = None
 
-    def _on_seq1(self, msg) -> list[ProtocolMessage]:
+    def _on_data_mask(self, msg) -> list[ProtocolMessage]:
         (data_mask,) = msg.payloads
-        self._check_shape(1, data_mask, self.x_aug.shape, "data mask")
+        self._check_shape(msg.seq, data_mask, self.x_aug.shape, "data mask")
         self._hold("data_mask", data_mask)
         blinded = self._hold("blinded_data", blind_data(self.x_aug, data_mask))
-        return [self._msg(3, Role.CLIENT_B, MessageKind.BLINDED_DATA, [blinded])]
+        # The peer's key masks go out in between, as seq + 1.
+        return [self._msg(msg.seq + 2, self.peer, MessageKind.BLINDED_DATA, [blinded])]
 
-    def _on_seq4(self, msg) -> list[ProtocolMessage]:
-        blinded_key, masked_cross = msg.payloads
-        self._check_shape(4, blinded_key, (self.d + 1, self.half_width), "blinded key")
-        self._check_shape(4, masked_cross, (self.n_rows, self.half_width), "masked cross")
-        self._hold("peer_blinded_key", blinded_key)
-        self._hold("masked_cross", masked_cross)
-        partial = self._hold(
-            "partial_cross",
-            unblind_cross(masked_cross, blinded_key, self._mats["data_mask"]),
-        )
-        return [self._msg(5, Role.SERVER, MessageKind.UNBLINDED_CROSS, [partial])]
-
-    def _on_seq7(self, msg) -> list[ProtocolMessage]:
+    def _on_key_masks(self, msg) -> list[ProtocolMessage]:
         key_mask, cross_mask = msg.payloads
-        self._check_shape(7, key_mask, (self.d + 1, self.half_width), "key mask")
+        self._check_shape(msg.seq, key_mask, (self.d + 1, self.half_width), "key mask")
         if cross_mask.shape[1] != self.half_width:
-            self.abort(7, f"cross mask has width {cross_mask.shape[1]}")
+            self.abort(msg.seq, f"cross mask has width {cross_mask.shape[1]}")
         self._hold("key_mask", key_mask)
         self._hold("cross_mask", cross_mask)
         self.peer_rows = cross_mask.shape[0]
         return []
 
-    def _on_seq8(self, msg) -> list[ProtocolMessage]:
+    def _on_blinded_data(self, msg) -> list[ProtocolMessage]:
         (peer_blinded_data,) = msg.payloads
         self._check_shape(
-            8, peer_blinded_data, (self.peer_rows, self.d + 1), "peer blinded data"
-        )
-        self._hold("peer_blinded_data", peer_blinded_data)
-        blinded_key, masked_cross = blind_key_and_cross(
-            peer_blinded_data, self.key, self._mats["key_mask"], self._mats["cross_mask"]
-        )
-        self._hold("own_blinded_key", blinded_key)
-        self._hold("own_masked_cross", masked_cross)
-        own_product = self._hold("own_product", self.x_aug @ self.key)
-        return [
-            self._msg(
-                9,
-                Role.CLIENT_B,
-                MessageKind.BLINDED_KEY_AND_CROSS,
-                [blinded_key, masked_cross],
-            ),
-            self._msg(11, Role.SERVER, MessageKind.OWN_PRODUCT_A, [own_product]),
-        ]
-
-
-class ClientBParty(Party):
-    """Key holder in the first pass, data holder in the mirrored pass."""
-
-    role = Role.CLIENT_B
-
-    def __init__(
-        self,
-        session_id: bytes,
-        x,
-        hyper: BlsHyperParams,
-        key_rng: RngStream | None = None,
-        key=None,
-    ):
-        super().__init__(session_id)
-        x = as_matrix(x, "x")
-        self.d = x.shape[1]
-        self.n_rows = x.shape[0]
-        self.half_width = hyper.half_width
-        self.x_aug = self._hold("x_aug", augment(x))
-        self.key = self._init_key(key, key_rng)
-        self.peer_rows = None
-
-    def _on_seq2(self, msg) -> list[ProtocolMessage]:
-        key_mask, cross_mask = msg.payloads
-        self._check_shape(2, key_mask, (self.d + 1, self.half_width), "key mask")
-        if cross_mask.shape[1] != self.half_width:
-            self.abort(2, f"cross mask has width {cross_mask.shape[1]}")
-        self._hold("key_mask", key_mask)
-        self._hold("cross_mask", cross_mask)
-        self.peer_rows = cross_mask.shape[0]
-        return []
-
-    def _on_seq3(self, msg) -> list[ProtocolMessage]:
-        (peer_blinded_data,) = msg.payloads
-        self._check_shape(
-            3, peer_blinded_data, (self.peer_rows, self.d + 1), "peer blinded data"
+            msg.seq, peer_blinded_data, (self.peer_rows, self.d + 1), "peer blinded data"
         )
         self._hold("peer_blinded_data", peer_blinded_data)
         blinded_key, masked_cross = blind_key_and_cross(
@@ -491,35 +425,29 @@ class ClientBParty(Party):
         self._hold("own_masked_cross", masked_cross)
         return [
             self._msg(
-                4,
-                Role.CLIENT_A,
+                msg.seq + 1,
+                self.peer,
                 MessageKind.BLINDED_KEY_AND_CROSS,
                 [blinded_key, masked_cross],
             )
         ]
 
-    def _on_seq6(self, msg) -> list[ProtocolMessage]:
-        (data_mask,) = msg.payloads
-        self._check_shape(6, data_mask, self.x_aug.shape, "data mask")
-        self._hold("data_mask", data_mask)
-        blinded = self._hold("blinded_data", blind_data(self.x_aug, data_mask))
-        return [self._msg(8, Role.CLIENT_A, MessageKind.BLINDED_DATA, [blinded])]
-
-    def _on_seq9(self, msg) -> list[ProtocolMessage]:
+    def _on_blinded_key_and_cross(self, msg) -> list[ProtocolMessage]:
         blinded_key, masked_cross = msg.payloads
-        self._check_shape(9, blinded_key, (self.d + 1, self.half_width), "blinded key")
-        self._check_shape(9, masked_cross, (self.n_rows, self.half_width), "masked cross")
+        self._check_shape(msg.seq, blinded_key, (self.d + 1, self.half_width), "blinded key")
+        self._check_shape(msg.seq, masked_cross, (self.n_rows, self.half_width), "masked cross")
         self._hold("peer_blinded_key", blinded_key)
         self._hold("masked_cross", masked_cross)
         partial = self._hold(
             "partial_cross",
             unblind_cross(masked_cross, blinded_key, self._mats["data_mask"]),
         )
+        return [self._msg(msg.seq + 1, Role.SERVER, MessageKind.UNBLINDED_CROSS, [partial])]
+
+    def _finish(self) -> list[ProtocolMessage]:
+        seq, kind = _OWN_PRODUCT[self.role]
         own_product = self._hold("own_product", self.x_aug @ self.key)
-        return [
-            self._msg(10, Role.SERVER, MessageKind.UNBLINDED_CROSS, [partial]),
-            self._msg(12, Role.SERVER, MessageKind.OWN_PRODUCT_B, [own_product]),
-        ]
+        return [self._msg(seq, Role.SERVER, kind, [own_product])]
 
 
 @dataclass
@@ -552,15 +480,7 @@ class TranscriptEntry:
     byte_length: int
 
     def to_dict(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "seq": self.seq,
-            "sender": self.sender,
-            "receiver": self.receiver,
-            "kind": self.kind,
-            "payload_shapes": [list(s) for s in self.payload_shapes],
-            "byte_length": self.byte_length,
-        }
+        return {**asdict(self), "payload_shapes": [list(s) for s in self.payload_shapes]}
 
 
 @dataclass
@@ -647,12 +567,12 @@ def run_protocol(
         mask_range=mask_range,
         zero_masks=zero_masks,
     )
-    client_a = ClientAParty(
-        session_id, x_a, hyper,
+    client_a = ClientParty(
+        session_id, Role.CLIENT_A, x_a, hyper,
         key_rng=rngs.key_a, key=None if keys is None else keys.key_a,
     )
-    client_b = ClientBParty(
-        session_id, x_b, hyper,
+    client_b = ClientParty(
+        session_id, Role.CLIENT_B, x_b, hyper,
         key_rng=rngs.key_b, key=None if keys is None else keys.key_b,
     )
     parties = {Role.SERVER: server, Role.CLIENT_A: client_a, Role.CLIENT_B: client_b}

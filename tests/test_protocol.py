@@ -506,3 +506,21 @@ class TestAbort:
 
     def test_misdelivered_message_aborts(self):
         self._assert_tampered_session_aborts(3, lambda msg: {"receiver": Role.SERVER})
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_features_abort_at_the_server(self):
+        # Every message is finite; only the server's mixed features overflow.
+        from msbls.protocol import FederationKeys
+
+        hyper = BlsHyperParams(map_groups=1, map_dim=4)
+        keys = FederationKeys(
+            key_a=np.ones((3, 2)), key_b=np.ones((3, 2)), mix_key=np.full((4, 4), 1e308)
+        )
+        with pytest.raises(ProtocolAbort) as excinfo:
+            run_protocol(
+                np.ones((3, 2)), np.ones((2, 2)), hyper, PartyRngs(mask=RngStream(14)), keys=keys
+            )
+        assert excinfo.value.role == Role.SERVER
+        for party in excinfo.value.parties.values():
+            assert party.aborted
+            assert party.view_matrices() == {}
