@@ -29,6 +29,7 @@ and every party zeroizes its held matrices.
 
 from __future__ import annotations
 
+import json
 import threading
 from dataclasses import asdict, dataclass
 
@@ -159,10 +160,11 @@ _EXPECTED = {
     ),
 }
 
-# The message each client sends once its scheduled receives are done.
-_OWN_PRODUCT = {
-    Role.CLIENT_A: (11, MessageKind.OWN_PRODUCT_A),
-    Role.CLIENT_B: (12, MessageKind.OWN_PRODUCT_B),
+# Per client: its peer, and the seq and kind of the own block it sends once
+# its scheduled receives are done.
+_CLIENTS = {
+    Role.CLIENT_A: (Role.CLIENT_B, 11, MessageKind.OWN_PRODUCT_A),
+    Role.CLIENT_B: (Role.CLIENT_A, 12, MessageKind.OWN_PRODUCT_B),
 }
 
 
@@ -378,10 +380,10 @@ class ClientParty(Party):
         key=None,
     ):
         super().__init__(session_id)
-        if role not in _OWN_PRODUCT:
+        if role not in _CLIENTS:
             raise ValueError(f"{role.name} is not a client role")
         self.role = role
-        self.peer = Role.CLIENT_B if role == Role.CLIENT_A else Role.CLIENT_A
+        self.peer, self._own_seq, self._own_kind = _CLIENTS[role]
         self.x_aug = self._hold("x_aug", augment(x))
         self.n_rows, self.d = self.x_aug.shape[0], self.x_aug.shape[1] - 1
         self.half_width = hyper.half_width
@@ -445,9 +447,8 @@ class ClientParty(Party):
         return [self._msg(msg.seq + 1, Role.SERVER, MessageKind.UNBLINDED_CROSS, [partial])]
 
     def _finish(self) -> list[ProtocolMessage]:
-        seq, kind = _OWN_PRODUCT[self.role]
         own_product = self._hold("own_product", self.x_aug @ self.key)
-        return [self._msg(seq, Role.SERVER, kind, [own_product])]
+        return [self._msg(self._own_seq, Role.SERVER, self._own_kind, [own_product])]
 
 
 @dataclass
@@ -500,25 +501,21 @@ class SessionResult:
 
     def transcript_jsonl(self) -> str:
         """Transcript metadata as JSON lines; payload contents never appear."""
-        import json
-
         return "\n".join(json.dumps(e.to_dict()) for e in self.transcript)
 
 
 def _drive_party(party, endpoint, timeout, record, errors):
     try:
-        for out in party.start():
-            record(out)
-            endpoint.send(out)
+        outbox = party.start()
         while True:
+            for out in outbox:
+                record(out)
+                endpoint.send(out)
             expected = party.expected_receive()
             if expected is None:
                 return
             _, sender, _ = expected
-            msg = endpoint.recv(sender, timeout)
-            for out in party.handle(msg):
-                record(out)
-                endpoint.send(out)
+            outbox = party.handle(endpoint.recv(sender, timeout))
     except BaseException as exc:
         party.zeroize()
         errors[party.role] = exc
