@@ -9,17 +9,24 @@ import click
 from .bls import BlsHyperParams
 from .datasets import SplitPlan
 from .experiment import ExperimentConfig, run_experiment, summary_table
+from .transport import LISTENERS
 
 
-def _parse_role_addr(values):
+def _parse_role_addr(ctx, param, values):
+    """ROLE=HOST:PORT values -> {Role: (host, port)}, for listening roles only."""
+    roles = {role.name.lower(): role for role in LISTENERS}
     out = {}
     for value in values:
         try:
-            role, addr = value.split("=", 1)
+            name, addr = value.split("=", 1)
             host, port = addr.rsplit(":", 1)
-            out[role.strip().lower()] = (host, int(port))
+            port = int(port)
         except ValueError:
             raise click.BadParameter(f"expected ROLE=HOST:PORT, got {value!r}")
+        name = name.strip().lower()
+        if name not in roles:
+            raise click.BadParameter(f"role {name!r} does not listen; use {' or '.join(roles)}")
+        out[roles[name]] = (host, port)
     return out or None
 
 
@@ -62,7 +69,7 @@ def _parse_role_addr(values):
               help="Comma-separated subset of msbls,nbls,sbls.")
 @click.option("--transport", type=click.Choice(["inproc", "tcp"]), default="inproc",
               show_default=True, help="Message backend for the protocol sessions.")
-@click.option("--listen", multiple=True,
+@click.option("--listen", multiple=True, callback=_parse_role_addr,
               help="ROLE=HOST:PORT listen address (tcp transport; repeatable).")
 @click.option("--mask-range", type=float, default=1e3, show_default=True,
               help="Masks are drawn uniformly from (-range, range).")
@@ -93,7 +100,7 @@ def main(dataset, train_images, train_labels, test_images, test_labels, data_dir
                 ridge=ridge, activation=activation, seed=seed,
             ),
             transport=transport,
-            listen=_parse_role_addr(listen),
+            listen=listen,
             baselines=tuple(b.strip() for b in baselines.split(",") if b.strip()),
             reps=reps,
             mask_range=mask_range,

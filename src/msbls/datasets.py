@@ -20,6 +20,8 @@ from scipy.ndimage import gaussian_filter
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
+DESK_DATASET_SEED = 20240601
+
 # Conventional IDX file names, tried under a data directory.
 _IDX_NAMES = {
     ("train", "images"): "train-images-idx3-ubyte",
@@ -273,7 +275,7 @@ def desk_dataset(
     train_n: int = 10000,
     test_n: int = 2000,
     data_dir=None,
-    dataset_seed: int = 20240601,
+    dataset_seed: int = DESK_DATASET_SEED,
     subset_seed: int = 13,
 ):
     """Desk-scale train/test pair: a real IDX subset when files are present
@@ -291,6 +293,11 @@ def desk_dataset(
             train = train.take(np.sort(rng.choice(len(train), train_n, replace=False)))
             test = test.take(np.sort(rng.choice(len(test), test_n, replace=False)))
             return train, test
+    return synthetic_desk_dataset(train_n, test_n, dataset_seed)
+
+
+def synthetic_desk_dataset(train_n: int, test_n: int, dataset_seed: int = DESK_DATASET_SEED):
+    """The synthetic stand-in alone, whatever ``MSBLS_DATA_DIR`` says."""
     pool = synthetic_image_dataset(train_n + test_n, seed=dataset_seed)
     train = pool.take(np.arange(train_n), "synthetic-train")
     test = pool.take(np.arange(train_n, train_n + test_n), "synthetic-test")

@@ -20,15 +20,18 @@ them, the protocol never carries them.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import bls
-from .datasets import LabeledDataset, SplitPlan, desk_dataset, load_idx, one_hot, split_dataset
+from .datasets import (
+    LabeledDataset, SplitPlan, desk_dataset, load_idx, one_hot, split_dataset,
+    synthetic_desk_dataset,
+)
 from .linalg import RNG_ALGORITHM, RngStream, derive_streams
-from .messages import Role
 from .protocol import DEFAULT_MASK_RANGE, PartyRngs, run_protocol
 from .transport import make_bus_endpoints, make_tcp_endpoints
 
@@ -153,8 +156,7 @@ def _split_pair(ds, plan, stream):
 def _session(config: ExperimentConfig, x_a, x_b, rngs: PartyRngs, keys=None):
     """One protocol session on freshly opened endpoints, closed afterwards."""
     if config.transport == "tcp":
-        listen = {Role[k.upper()]: v for k, v in (config.listen or {}).items()}
-        endpoints = make_tcp_endpoints(listen=listen)
+        endpoints = make_tcp_endpoints(listen=config.listen)
     else:
         endpoints = make_bus_endpoints()
     try:
@@ -348,18 +350,16 @@ def load_experiment_data(config: ExperimentConfig):
         test = load_idx(config.test_images, config.test_labels, name=config.dataset)
         return train, test
     if config.dataset == "synthetic":
-        return desk_dataset(config.train_size, config.test_size, data_dir=None)
-    if config.data_dir:
-        train, test = desk_dataset(
-            config.train_size, config.test_size, data_dir=config.data_dir
-        )
+        return synthetic_desk_dataset(config.train_size, config.test_size)
+    data_dir = config.data_dir or os.environ.get("MSBLS_DATA_DIR")
+    if data_dir:
+        train, test = desk_dataset(config.train_size, config.test_size, data_dir=data_dir)
         if train.name.startswith("synthetic"):
-            raise FileNotFoundError(
-                f"no IDX files for {config.dataset!r} under {config.data_dir}"
-            )
+            raise FileNotFoundError(f"no IDX files for {config.dataset!r} under {data_dir}")
         return train, test
     raise FileNotFoundError(
-        f"dataset {config.dataset!r} needs --*-images/--*-labels paths or --data-dir"
+        f"dataset {config.dataset!r} needs --*-images/--*-labels paths, --data-dir "
+        "or MSBLS_DATA_DIR"
     )
 
 

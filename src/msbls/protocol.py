@@ -187,8 +187,12 @@ class Party:
         self._mats[name] = mat
         return mat
 
-    def _hold_key(self, name: str, key, shape: tuple[int, int]) -> np.ndarray:
-        """Validate a key and hold a copy of it."""
+    def _hold_key(self, name: str, key, rng: RngStream | None, shape: tuple) -> np.ndarray:
+        """Hold a copy of a persisted key, or draw a fresh one from ``rng``."""
+        if key is None:
+            if rng is None:
+                raise ValueError(f"{self.role.name} needs a persisted {name} or a key stream")
+            key = rng.standard_normal(*shape)
         # Copy so a later zeroize cannot destroy caller-persisted keys.
         held = self._hold(name, as_matrix(np.array(key, dtype=np.float64, copy=True), name))
         if held.shape != shape:
@@ -279,17 +283,9 @@ class ServerParty(Party):
         super().__init__(session_id)
         if min(n_a, n_b, d) < 1:
             raise ValueError("all dimensions must be positive")
-        self.n_a, self.n_b, self.d = n_a, n_b, d
         self.half_width = hyper.half_width
-        self.hyper = hyper
-        self._mix_rng = mix_rng
-        if mix_key is None:
-            if mix_rng is None:
-                raise ValueError("need either a persisted mix key or a mix stream")
-            self.mix_key = None
-        else:
-            width = hyper.mapped_width
-            self.mix_key = self._hold_key("mix_key", mix_key, (width, width))
+        width = hyper.mapped_width
+        self.mix_key = self._hold_key("mix_key", mix_key, mix_rng, (width, width))
         # Both passes' masks are drawn up front; the mirrored pass gets fresh
         # draws sized to the other client's row count.
         self.masks_ab = draw_mask_set(n_a, d, self.half_width, mask_rng, mask_range, zero_masks)
@@ -298,6 +294,12 @@ class ServerParty(Party):
             self._hold(f"data_mask_{tag}", ms.data_mask)
             self._hold(f"key_mask_{tag}", ms.key_mask)
             self._hold(f"cross_mask_{tag}", ms.cross_mask)
+        # Per client: its row count, the masks of the pass in which it holds
+        # the data, and the names of its cross and own blocks.
+        self._blocks = {
+            Role.CLIENT_A: (n_a, self.masks_ab, "cross_ab", "own_a"),
+            Role.CLIENT_B: (n_b, self.masks_ba, "cross_ba", "own_b"),
+        }
         self.mapped_features = None
 
     def _open_pass(self, seq, data_holder, key_holder, masks: MaskSet) -> list[ProtocolMessage]:
@@ -314,34 +316,23 @@ class ServerParty(Party):
 
     def _on_unblinded_cross(self, msg) -> list[ProtocolMessage]:
         (partial,) = msg.payloads
+        rows, masks, cross, _ = self._blocks[msg.sender]
+        self._check_shape(msg.seq, partial, (rows, self.half_width), "unblinded cross")
+        self._hold(cross, recover_cross_product(partial, masks))
         if msg.sender == Role.CLIENT_A:
-            self._check_shape(msg.seq, partial, (self.n_a, self.half_width), "unblinded cross")
-            self._hold("cross_ab", recover_cross_product(partial, self.masks_ab))
             return self._open_pass(6, Role.CLIENT_B, Role.CLIENT_A, self.masks_ba)
-        self._check_shape(msg.seq, partial, (self.n_b, self.half_width), "unblinded cross")
-        self._hold("cross_ba", recover_cross_product(partial, self.masks_ba))
         return []
 
-    def _on_own_product_a(self, msg) -> list[ProtocolMessage]:
+    def _on_own_product(self, msg) -> list[ProtocolMessage]:
         (own,) = msg.payloads
-        self._check_shape(msg.seq, own, (self.n_a, self.half_width), "own product A")
-        self._hold("own_a", own)
+        rows, _, _, name = self._blocks[msg.sender]
+        self._check_shape(msg.seq, own, (rows, self.half_width), "own product")
+        self._hold(name, own)
         return []
 
-    def _on_own_product_b(self, msg) -> list[ProtocolMessage]:
-        (own,) = msg.payloads
-        self._check_shape(msg.seq, own, (self.n_b, self.half_width), "own product B")
-        self._hold("own_b", own)
-        return []
+    _on_own_product_a = _on_own_product_b = _on_own_product
 
     def _finish(self) -> list[ProtocolMessage]:
-        if self.mix_key is None:
-            # The mix key is drawn only once every block has arrived and
-            # never leaves the server.
-            self.mix_key = self._hold(
-                "mix_key",
-                self._mix_rng.standard_normal(self.hyper.mapped_width, self.hyper.mapped_width),
-            )
         features = assemble_mapped_features(
             self._mats["own_a"],
             self._mats["cross_ab"],
@@ -387,13 +378,7 @@ class ClientParty(Party):
         self.x_aug = self._hold("x_aug", augment(x))
         self.n_rows, self.d = self.x_aug.shape[0], self.x_aug.shape[1] - 1
         self.half_width = hyper.half_width
-        if key is None:
-            if key_rng is None:
-                raise ValueError(
-                    f"{role.name} needs either a persisted key half or a key stream"
-                )
-            key = key_rng.standard_normal(self.d + 1, self.half_width)
-        self.key = self._hold_key("key", key, (self.d + 1, self.half_width))
+        self.key = self._hold_key("key", key, key_rng, (self.d + 1, self.half_width))
         self.peer_rows = None
 
     def _on_data_mask(self, msg) -> list[ProtocolMessage]:
@@ -504,21 +489,24 @@ class SessionResult:
         return "\n".join(json.dumps(e.to_dict()) for e in self.transcript)
 
 
-def _drive_party(party, endpoint, timeout, record, errors):
+def _drive_party(party, endpoint, timeout, record, fail):
+    """Send and receive on the party's schedule; hand any failure to ``fail``
+    with the seq that was being sent or awaited."""
+    seq = None
     try:
         outbox = party.start()
         while True:
             for out in outbox:
+                seq = out.seq
                 record(out)
                 endpoint.send(out)
             expected = party.expected_receive()
             if expected is None:
                 return
-            _, sender, _ = expected
+            seq, sender, _ = expected
             outbox = party.handle(endpoint.recv(sender, timeout))
     except BaseException as exc:
-        party.zeroize()
-        errors[party.role] = exc
+        fail(party, seq, exc)
 
 
 def run_protocol(
@@ -596,43 +584,42 @@ def run_protocol(
             if message_tap is not None:
                 message_tap(msg)
 
-    errors: dict[Role, BaseException] = {}
+    failures: list[tuple[Role, int | None, BaseException]] = []
+
+    def fail(party: Party, seq, exc: BaseException):
+        party.zeroize()
+        with log_lock:
+            failures.append((party.role, seq, exc))
+            if len(failures) == 1:
+                # The first failure ends the session: closing every endpoint
+                # unblocks the peers, whose own failures are only fallout.
+                for ep in endpoints.values():
+                    ep.close()
+
     threads = [
         threading.Thread(
             target=_drive_party,
-            args=(party, endpoints[role], timeout, record, errors),
+            args=(party, endpoints[role], timeout, record, fail),
             daemon=True,
         )
         for role, party in parties.items()
     ]
     for t in threads:
         t.start()
-    closed_early = False
-    while any(t.is_alive() for t in threads):
-        for t in threads:
-            t.join(timeout=0.02)
-        if errors and not closed_early:
-            # Unblock peers still waiting on a message that will never come.
-            closed_early = True
-            for ep in endpoints.values():
-                ep.close()
-    if own_endpoints or errors:
+    for t in threads:
+        t.join()
+    if own_endpoints:
         for ep in endpoints.values():
             ep.close()
 
-    if errors:
+    if failures:
         for party in parties.values():
             party.zeroize()
-        # A real schedule violation is the root cause; transport errors on
-        # the other parties are fallout from closing their endpoints.
-        for role in Role:
-            if isinstance(errors.get(role), ProtocolAbort):
-                first = errors[role]
-                first.parties = parties
-                raise first
-        role = next(r for r in Role if r in errors)
-        first = errors[role]
-        abort = ProtocolAbort(role, None, f"{type(first).__name__}: {first}")
+        role, seq, first = failures[0]
+        if isinstance(first, ProtocolAbort):
+            first.parties = parties
+            raise first
+        abort = ProtocolAbort(role, seq, f"{type(first).__name__}: {first}")
         abort.parties = parties
         raise abort from first
 

@@ -25,7 +25,6 @@ import queue
 import socket
 import struct
 import threading
-import time
 import zlib
 
 import numpy as np
@@ -37,6 +36,9 @@ VERSION = 1
 _HEADER = struct.Struct(">4sB16sHBBBB")
 _DIMS = struct.Struct(">II")
 _CRC = struct.Struct(">I")
+
+# The TCP roles that listen, and how many peers dial each; clients only dial.
+LISTENERS = {Role.SERVER: 2, Role.CLIENT_A: 1}
 
 DEFAULT_TIMEOUT_S = float(os.environ.get("MSBLS_TIMEOUT_MS", "30000")) / 1000.0
 
@@ -76,28 +78,39 @@ def encode_message(msg: ProtocolMessage) -> bytes:
     return body + _CRC.pack(zlib.crc32(body) & 0xFFFFFFFF)
 
 
-def decode_message(data: bytes) -> ProtocolMessage:
-    """Inverse of encode_message; raises FrameError on any malformed frame."""
-    if len(data) < _HEADER.size + _CRC.size:
-        raise FrameError("truncated frame: incomplete header")
-    magic, version, session_id, seq, sender, receiver, kind, count = _HEADER.unpack(
-        data[: _HEADER.size]
-    )
+def _check_header(header: bytes) -> list:
+    """Unpack a frame header; raises FrameError on bad magic, version or
+    payload count. Returns [session_id, seq, sender, receiver, kind, count]."""
+    magic, version, *fields = _HEADER.unpack(header)
     if magic != MAGIC:
         raise FrameError(f"bad magic {magic!r}")
     if version != VERSION:
         raise FrameError(f"unsupported version {version}")
-    if count not in (1, 2):
-        raise FrameError(f"payload count must be 1 or 2, got {count}")
+    if fields[-1] not in (1, 2):
+        raise FrameError(f"payload count must be 1 or 2, got {fields[-1]}")
+    return fields
+
+
+def _check_dims(dims: bytes) -> tuple[int, int]:
+    """Unpack one payload's (rows, cols); both must be positive."""
+    rows, cols = _DIMS.unpack(dims)
+    if rows < 1 or cols < 1:
+        raise FrameError(f"bad payload dims {rows}x{cols}")
+    return rows, cols
+
+
+def decode_message(data: bytes) -> ProtocolMessage:
+    """Inverse of encode_message; raises FrameError on any malformed frame."""
+    if len(data) < _HEADER.size + _CRC.size:
+        raise FrameError("truncated frame: incomplete header")
+    session_id, seq, sender, receiver, kind, count = _check_header(data[: _HEADER.size])
     offset = _HEADER.size
     payloads = []
     for _ in range(count):
         if len(data) < offset + _DIMS.size:
             raise FrameError("truncated frame: incomplete payload dims")
-        rows, cols = _DIMS.unpack(data[offset : offset + _DIMS.size])
+        rows, cols = _check_dims(data[offset : offset + _DIMS.size])
         offset += _DIMS.size
-        if rows < 1 or cols < 1:
-            raise FrameError(f"bad payload dims {rows}x{cols}")
         nbytes = rows * cols * 8
         if len(data) < offset + nbytes:
             raise FrameError("truncated frame: incomplete payload entries")
@@ -155,23 +168,23 @@ class _BusEndpoint(Endpoint):
     def recv(self, sender: Role, timeout: float | None = None) -> ProtocolMessage:
         if timeout is None:
             timeout = DEFAULT_TIMEOUT_S
-        deadline = time.monotonic() + timeout
-        q = self._queues[(sender, self.role)]
-        while True:
-            if self._closed.is_set():
-                raise TransportClosed("bus is closed")
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TransportTimeout(
-                    f"{self.role.name}: no message from {sender.name} within {timeout}s"
-                )
-            try:
-                return q.get(timeout=min(remaining, 0.05))
-            except queue.Empty:
-                continue
+        if self._closed.is_set():
+            raise TransportClosed("bus is closed")
+        try:
+            msg = self._queues[(sender, self.role)].get(timeout=timeout)
+        except queue.Empty:
+            raise TransportTimeout(
+                f"{self.role.name}: no message from {sender.name} within {timeout}s"
+            ) from None
+        if msg is None:
+            raise TransportClosed("bus is closed")
+        return msg
 
     def close(self) -> None:
         self._closed.set()
+        # A None in place of a message wakes every receiver still waiting.
+        for q in self._queues.values():
+            q.put(None)
 
 
 def make_bus_endpoints() -> dict[Role, Endpoint]:
@@ -201,20 +214,12 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 def read_frame(sock: socket.socket) -> bytes:
     """Read exactly one frame off a stream socket."""
     header = _recv_exact(sock, _HEADER.size)
-    magic, version, _, _, _, _, _, count = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise FrameError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise FrameError(f"unsupported version {version}")
-    if count not in (1, 2):
-        raise FrameError(f"payload count must be 1 or 2, got {count}")
+    *_, count = _check_header(header)
     body = bytearray(header)
     for _ in range(count):
         dims = _recv_exact(sock, _DIMS.size)
+        rows, cols = _check_dims(dims)
         body.extend(dims)
-        rows, cols = _DIMS.unpack(dims)
-        if rows < 1 or cols < 1:
-            raise FrameError(f"bad payload dims {rows}x{cols}")
         body.extend(_recv_exact(sock, rows * cols * 8))
     body.extend(_recv_exact(sock, _CRC.size))
     return bytes(body)
@@ -288,7 +293,7 @@ def make_tcp_endpoints(
     """
     listen = listen or {}
     listeners: dict[Role, socket.socket] = {}
-    for role, expected in ((Role.SERVER, 2), (Role.CLIENT_A, 1)):
+    for role, expected in LISTENERS.items():
         lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         lsock.bind(listen.get(role, (host, 0)))
@@ -298,10 +303,7 @@ def make_tcp_endpoints(
 
     server_addr = listeners[Role.SERVER].getsockname()
     client_a_addr = listeners[Role.CLIENT_A].getsockname()
-    accepted: dict[Role, dict[Role, socket.socket]] = {
-        Role.SERVER: {},
-        Role.CLIENT_A: {},
-    }
+    accepted: dict[Role, dict[Role, socket.socket]] = {role: {} for role in LISTENERS}
     errors: list[BaseException] = []
 
     def accept_loop(role: Role, count: int):
@@ -314,8 +316,7 @@ def make_tcp_endpoints(
             errors.append(exc)
 
     threads = [
-        threading.Thread(target=accept_loop, args=(Role.SERVER, 2), daemon=True),
-        threading.Thread(target=accept_loop, args=(Role.CLIENT_A, 1), daemon=True),
+        threading.Thread(target=accept_loop, args=item, daemon=True) for item in LISTENERS.items()
     ]
     for t in threads:
         t.start()

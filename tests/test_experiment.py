@@ -16,10 +16,11 @@ from msbls.bls import (
     train_output_weights,
 )
 from msbls.cli import main
-from msbls.datasets import LabeledDataset, SplitPlan
+from msbls.datasets import LabeledDataset, SplitPlan, desk_dataset, write_idx
 from msbls.experiment import (
     ExperimentConfig,
     accuracy,
+    load_experiment_data,
     run_experiment,
     run_msbls,
     run_non_privacy,
@@ -274,3 +275,46 @@ class TestCli:
         result = runner.invoke(main, ["--n", "1", "--dz", "3"])
         assert result.exit_code == 1
         assert "even" in result.output
+
+    @pytest.mark.parametrize("role", ["foo", "client_b"])
+    def test_listen_rejects_roles_that_do_not_listen(self, role):
+        result = CliRunner().invoke(main, ["--transport", "tcp", "--listen", f"{role}=127.0.0.1:0"])
+        assert result.exit_code == 2, result.output
+        assert "Usage:" in result.output
+        assert repr(role) in result.output
+
+    def test_listen_on_the_server_still_runs(self):
+        result = CliRunner().invoke(
+            main,
+            [
+                "--dataset", "synthetic", "--train-size", "200", "--test-size", "50",
+                "--n", "2", "--dz", "4", "--dh", "20", "--baselines", "msbls",
+                "--transport", "tcp", "--listen", "server=127.0.0.1:0",
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        (record,) = [json.loads(l) for l in result.output.splitlines() if l.startswith("{")]
+        assert (record["message_count"], record["config"]["transport"]) == (12, "tcp")
+
+
+class TestDataSource:
+    @pytest.fixture
+    def idx_dir(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MSBLS_DATA_DIR", raising=False)
+        train, test = desk_dataset(train_n=60, test_n=20)
+        write_idx(train, tmp_path / "train-images-idx3-ubyte", tmp_path / "train-labels-idx1-ubyte")
+        write_idx(test, tmp_path / "t10k-images-idx3-ubyte", tmp_path / "t10k-labels-idx1-ubyte")
+        monkeypatch.setenv("MSBLS_DATA_DIR", str(tmp_path))
+        return tmp_path
+
+    def test_synthetic_ignores_data_dir_env(self, idx_dir):
+        train, test = load_experiment_data(
+            ExperimentConfig(dataset="synthetic", train_size=50, test_size=10)
+        )
+        assert (train.name, test.name) == ("synthetic-train", "synthetic-test")
+
+    def test_named_dataset_reads_data_dir_env(self, idx_dir):
+        train, test = load_experiment_data(
+            ExperimentConfig(dataset="mnist", train_size=50, test_size=10)
+        )
+        assert (train.name, test.name, len(train), len(test)) == ("idx-train", "idx-test", 50, 10)

@@ -1,8 +1,11 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from msbls import transport
 from msbls.bls import BlsHyperParams, augment, mapped_features_simplified
 from msbls.linalg import RngStream, derive_streams, random_matrix
 from msbls.messages import MessageKind, ProtocolMessage, Role
@@ -19,7 +22,7 @@ from msbls.protocol import (
     run_protocol,
     unblind_cross,
 )
-from msbls.transport import make_bus_endpoints
+from msbls.transport import make_bus_endpoints, make_tcp_endpoints
 
 
 def party_rngs(seed):
@@ -524,3 +527,59 @@ class TestAbort:
         for party in excinfo.value.parties.values():
             assert party.aborted
             assert party.view_matrices() == {}
+
+    def test_corrupted_tcp_frame_aborts_at_its_receiver(self, monkeypatch):
+        # B's checksum check is the cause; the transport errors that the
+        # other parties see once the session closes are only fallout.
+        encode = transport.encode_message
+
+        def flip_a_byte_of_seq3(msg):
+            frame = bytearray(encode(msg))
+            if msg.seq == 3:
+                frame[len(frame) // 2] ^= 0xFF
+            return bytes(frame)
+
+        monkeypatch.setattr(transport, "encode_message", flip_a_byte_of_seq3)
+        hyper = BlsHyperParams(map_groups=2, map_dim=4)
+        rng = np.random.default_rng(13)
+        xa, xb = rng.uniform(0, 1, (4, 3)), rng.uniform(0, 1, (5, 3))
+        endpoints = make_tcp_endpoints()
+        try:
+            with pytest.raises(ProtocolAbort) as excinfo:
+                run_protocol(xa, xb, hyper, party_rngs(13), endpoints=endpoints, timeout_s=5.0)
+        finally:
+            for ep in endpoints.values():
+                ep.close()
+        assert (excinfo.value.role, excinfo.value.seq) == (Role.CLIENT_B, 3)
+        assert "checksum" in excinfo.value.reason
+        for party in excinfo.value.parties.values():
+            assert party.aborted
+            assert party.view_matrices() == {}
+
+    def test_abort_attribution_under_thread_switch_stress(self):
+        # 48 tampered sessions, alternating bus and TCP, each seq twice on
+        # each; a lost or late first failure would misattribute an abort.
+        hyper = BlsHyperParams(map_groups=2, map_dim=4)
+        rng = np.random.default_rng(15)
+        xa, xb = rng.uniform(0, 1, (4, 3)), rng.uniform(0, 1, (5, 3))
+        baseline = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for i in range(48):
+                seq = i // 2 % 12 + 1
+                receiver = RECEIVER_OF_SEQ[seq]
+                endpoints = make_tcp_endpoints() if i % 2 else make_bus_endpoints()
+                endpoints[receiver] = RewriteEndpoint(endpoints[receiver], seq, widen_first_payload)
+                try:
+                    with pytest.raises(ProtocolAbort) as excinfo:
+                        run_protocol(
+                            xa, xb, hyper, party_rngs(i), endpoints=endpoints, timeout_s=5.0
+                        )
+                finally:
+                    for ep in endpoints.values():
+                        ep.close()
+                assert (excinfo.value.role, excinfo.value.seq) == (receiver, seq), i
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == baseline
