@@ -108,7 +108,7 @@ def main(dataset, train_images, train_labels, test_images, test_labels, data_dir
             out=out,
         )
         reports = run_experiment(config)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     for report in reports:

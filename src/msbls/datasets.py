@@ -21,6 +21,15 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 DESK_DATASET_SEED = 20240601
+# Rows drawn from a real IDX pair by desk_dataset.
+DESK_SUBSET_SEED = 13
+
+# The synthetic stand-in: image side, class count, the largest subpixel shift
+# and the pixel noise scale.
+SYNTHETIC_SIDE = 28
+SYNTHETIC_CLASSES = 10
+SYNTHETIC_MAX_SHIFT = 4.0
+SYNTHETIC_NOISE = 0.18
 
 # Conventional IDX file names, tried under a data directory.
 _IDX_NAMES = {
@@ -225,21 +234,14 @@ def _bilinear_shift(image: np.ndarray, dy: float, dx: float) -> np.ndarray:
     return (1 - wy) * ((1 - wx) * tl + wx * tr) + wy * ((1 - wx) * bl + wx * br)
 
 
-def synthetic_image_dataset(
-    n_samples: int,
-    n_classes: int = 10,
-    side: int = 28,
-    seed: int = 0,
-    max_shift: float = 4.0,
-    noise: float = 0.18,
-    name: str = "synthetic",
-) -> LabeledDataset:
+def synthetic_image_dataset(n_samples: int, seed: int = 0) -> LabeledDataset:
     """Deterministic MNIST-shaped stand-in with a genuine learning curve.
 
     Each class is a smooth random prototype image; samples are subpixel
     translations with random amplitude plus pixel noise, so small training
     sets generalize measurably worse than large ones.
     """
+    n_classes, side = SYNTHETIC_CLASSES, SYNTHETIC_SIDE
     rng = np.random.Generator(np.random.PCG64(seed))
     protos = []
     for _ in range(n_classes):
@@ -248,15 +250,15 @@ def synthetic_image_dataset(
         field /= field.max()
         protos.append(field)
     labels = rng.integers(0, n_classes, size=n_samples)
-    offsets = rng.uniform(-max_shift, max_shift, size=(n_samples, 2))
+    offsets = rng.uniform(-SYNTHETIC_MAX_SHIFT, SYNTHETIC_MAX_SHIFT, size=(n_samples, 2))
     amplitudes = rng.uniform(0.6, 1.0, size=n_samples)
-    pixel_noise = rng.standard_normal((n_samples, side * side)) * noise
+    pixel_noise = rng.standard_normal((n_samples, side * side)) * SYNTHETIC_NOISE
     x = np.empty((n_samples, side * side))
     for i in range(n_samples):
         img = _bilinear_shift(protos[labels[i]], offsets[i, 0], offsets[i, 1])
         x[i] = amplitudes[i] * img.ravel()
     x = np.clip(x + pixel_noise, 0.0, 1.0)
-    return LabeledDataset(x=x, labels=labels, num_classes=n_classes, name=name)
+    return LabeledDataset(x=x, labels=labels, num_classes=n_classes, name="synthetic")
 
 
 def find_idx_pair(data_dir, split: str):
@@ -276,7 +278,6 @@ def desk_dataset(
     test_n: int = 2000,
     data_dir=None,
     dataset_seed: int = DESK_DATASET_SEED,
-    subset_seed: int = 13,
 ):
     """Desk-scale train/test pair: a real IDX subset when files are present
     (``data_dir`` argument or ``MSBLS_DATA_DIR``), otherwise the synthetic
@@ -289,7 +290,7 @@ def desk_dataset(
         if train_pair and test_pair:
             train = load_idx(*train_pair, name="idx-train")
             test = load_idx(*test_pair, name="idx-test")
-            rng = np.random.Generator(np.random.PCG64(subset_seed))
+            rng = np.random.Generator(np.random.PCG64(DESK_SUBSET_SEED))
             train = train.take(np.sort(rng.choice(len(train), train_n, replace=False)))
             test = test.take(np.sort(rng.choice(len(test), test_n, replace=False)))
             return train, test

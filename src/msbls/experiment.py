@@ -80,6 +80,13 @@ class ExperimentConfig:
             raise ValueError("reps must be >= 1")
         if self.transport not in ("inproc", "tcp"):
             raise ValueError(f"unknown transport {self.transport!r}")
+        if self.listen and self.transport != "tcp":
+            raise ValueError("listen addresses need the tcp transport")
+        paths = (self.train_images, self.train_labels, self.test_images, self.test_labels)
+        if any(paths) and not all(paths):
+            raise ValueError("give all four of train/test images/labels paths, or none")
+        if self.data_dir and (all(paths) or self.dataset == "synthetic"):
+            raise ValueError("data_dir is unused with explicit IDX paths or the synthetic dataset")
 
 
 @dataclass
@@ -345,7 +352,7 @@ def run_single_party(train: LabeledDataset, test: LabeledDataset, config: Experi
 
 def load_experiment_data(config: ExperimentConfig):
     """Resolve the configured dataset into a (train, test) pair."""
-    if config.train_images and config.train_labels and config.test_images and config.test_labels:
+    if config.train_images:  # the config holds all four IDX paths or none
         train = load_idx(config.train_images, config.train_labels, name=config.dataset)
         test = load_idx(config.test_images, config.test_labels, name=config.dataset)
         return train, test

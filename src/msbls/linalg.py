@@ -36,23 +36,16 @@ class RngStream:
     """Single-owner deterministic random stream.
 
     Identical ``seed`` yields an identical draw sequence across runs and
-    across transport backends. The algorithm name is recorded in experiment
-    metadata.
+    across transport backends. The algorithm, ``RNG_ALGORITHM``, is recorded
+    in experiment metadata.
     """
 
     seed: int
-    algorithm: str = RNG_ALGORITHM
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.algorithm != RNG_ALGORITHM:
-            raise ValueError(f"unsupported rng algorithm {self.algorithm!r}")
         self.seed = int(self.seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
 
     def standard_normal(self, rows: int, cols: int) -> np.ndarray:
         return self._gen.standard_normal((rows, cols))

@@ -137,50 +137,39 @@ def assemble_mapped_features(own_a, cross_ab, cross_ba, own_b, mix_key) -> np.nd
     return block @ mix_key
 
 
-# Per-role receive schedules: (seq, sender, kind) in strict order.
-
-_EXPECTED = {
-    Role.SERVER: (
-        (5, Role.CLIENT_A, MessageKind.UNBLINDED_CROSS),
-        (10, Role.CLIENT_B, MessageKind.UNBLINDED_CROSS),
-        (11, Role.CLIENT_A, MessageKind.OWN_PRODUCT_A),
-        (12, Role.CLIENT_B, MessageKind.OWN_PRODUCT_B),
-    ),
-    Role.CLIENT_A: (
-        (1, Role.SERVER, MessageKind.DATA_MASK),
-        (4, Role.CLIENT_B, MessageKind.BLINDED_KEY_AND_CROSS),
-        (7, Role.SERVER, MessageKind.KEY_MASKS),
-        (8, Role.CLIENT_B, MessageKind.BLINDED_DATA),
-    ),
-    Role.CLIENT_B: (
-        (2, Role.SERVER, MessageKind.KEY_MASKS),
-        (3, Role.CLIENT_A, MessageKind.BLINDED_DATA),
-        (6, Role.SERVER, MessageKind.DATA_MASK),
-        (9, Role.CLIENT_A, MessageKind.BLINDED_KEY_AND_CROSS),
-    ),
-}
-
-# Per client: its peer, and the seq and kind of the own block it sends once
-# its scheduled receives are done.
-_CLIENTS = {
-    Role.CLIENT_A: (Role.CLIENT_B, 11, MessageKind.OWN_PRODUCT_A),
-    Role.CLIENT_B: (Role.CLIENT_A, 12, MessageKind.OWN_PRODUCT_B),
-}
+# The session, one row per message in seq order: (seq, sender, receiver, kind).
+# Each party receives and sends its own rows in this order.
+SCHEDULE = (
+    (1, Role.SERVER, Role.CLIENT_A, MessageKind.DATA_MASK),
+    (2, Role.SERVER, Role.CLIENT_B, MessageKind.KEY_MASKS),
+    (3, Role.CLIENT_A, Role.CLIENT_B, MessageKind.BLINDED_DATA),
+    (4, Role.CLIENT_B, Role.CLIENT_A, MessageKind.BLINDED_KEY_AND_CROSS),
+    (5, Role.CLIENT_A, Role.SERVER, MessageKind.UNBLINDED_CROSS),
+    (6, Role.SERVER, Role.CLIENT_B, MessageKind.DATA_MASK),
+    (7, Role.SERVER, Role.CLIENT_A, MessageKind.KEY_MASKS),
+    (8, Role.CLIENT_B, Role.CLIENT_A, MessageKind.BLINDED_DATA),
+    (9, Role.CLIENT_A, Role.CLIENT_B, MessageKind.BLINDED_KEY_AND_CROSS),
+    (10, Role.CLIENT_B, Role.SERVER, MessageKind.UNBLINDED_CROSS),
+    (11, Role.CLIENT_A, Role.SERVER, MessageKind.OWN_PRODUCT_A),
+    (12, Role.CLIENT_B, Role.SERVER, MessageKind.OWN_PRODUCT_B),
+)
 
 
 class Party:
-    """Base state machine: strict receive schedule, held-matrix registry.
+    """Base state machine: its ``SCHEDULE`` rows in order, held-matrix registry.
 
     Payloads arrive validated by ``ProtocolMessage``; handlers check only
     that their shapes fit this party's state.
     """
 
-    role: Role
-
-    def __init__(self, session_id: bytes):
+    def __init__(self, session_id: bytes, role: Role):
         self.session_id = session_id
+        self.role = role
         self.aborted = False
-        self._cursor = 0
+        # Built eagerly: a generator over SCHEDULE that read self.role would
+        # tie the party into a reference cycle and delay freeing its matrices.
+        self._receives = [row for row in SCHEDULE if row[2] == role]
+        self._sends = iter([row for row in SCHEDULE if row[1] == role])
         self._mats: dict[str, np.ndarray] = {}
 
     def _hold(self, name: str, mat: np.ndarray) -> np.ndarray:
@@ -214,10 +203,8 @@ class Party:
         return []
 
     def expected_receive(self):
-        schedule = _EXPECTED[self.role]
-        if self._cursor >= len(schedule):
-            return None
-        return schedule[self._cursor]
+        """The next ``SCHEDULE`` row this party receives, or None when done."""
+        return self._receives[0] if self._receives else None
 
     def abort(self, seq, reason: str):
         raise ProtocolAbort(self.role, seq, reason)
@@ -226,7 +213,7 @@ class Party:
         expected = self.expected_receive()
         if expected is None:
             self.abort(msg.seq, "unexpected message after schedule end")
-        seq, sender, kind = expected
+        seq, sender, _, kind = expected
         if msg.session_id != self.session_id:
             self.abort(msg.seq, "message from a different session")
         if msg.receiver != self.role:
@@ -238,23 +225,25 @@ class Party:
                 f"got seq {msg.seq} {msg.kind.name} from {msg.sender.name}",
             )
         out = getattr(self, f"_on_{kind.name.lower()}")(msg)
-        self._cursor += 1
-        if self.expected_receive() is None:
-            out += self._finish()
+        self._receives.pop(0)
+        if not self._receives:
+            out += self._finish(msg)
         return out
 
-    def _finish(self) -> list[ProtocolMessage]:
-        """Work due after the last scheduled receive."""
+    def _finish(self, last: ProtocolMessage) -> list[ProtocolMessage]:
+        """Work due after ``last``, the final scheduled receive."""
         return []
 
-    def _msg(self, seq, receiver, kind, payloads) -> ProtocolMessage:
+    def _msg(self, *payloads) -> ProtocolMessage:
+        """This party's next scheduled message, carrying ``payloads``."""
+        seq, sender, receiver, kind = next(self._sends)
         return ProtocolMessage(
             session_id=self.session_id,
             seq=seq,
-            sender=self.role,
+            sender=sender,
             receiver=receiver,
             kind=kind,
-            payloads=tuple(payloads),
+            payloads=payloads,
         )
 
     def _check_shape(self, seq, mat, shape, what: str):
@@ -264,8 +253,6 @@ class Party:
 
 class ServerParty(Party):
     """Draws masks, recovers the cross blocks, mixes the assembled features."""
-
-    role = Role.SERVER
 
     def __init__(
         self,
@@ -280,7 +267,7 @@ class ServerParty(Party):
         mask_range: float = DEFAULT_MASK_RANGE,
         zero_masks: bool = False,
     ):
-        super().__init__(session_id)
+        super().__init__(session_id, Role.SERVER)
         if min(n_a, n_b, d) < 1:
             raise ValueError("all dimensions must be positive")
         self.half_width = hyper.half_width
@@ -302,17 +289,12 @@ class ServerParty(Party):
         }
         self.mapped_features = None
 
-    def _open_pass(self, seq, data_holder, key_holder, masks: MaskSet) -> list[ProtocolMessage]:
-        """Send one directional pass's masks: seq to the data holder, seq + 1 to the key holder."""
-        return [
-            self._msg(seq, data_holder, MessageKind.DATA_MASK, [masks.data_mask]),
-            self._msg(
-                seq + 1, key_holder, MessageKind.KEY_MASKS, [masks.key_mask, masks.cross_mask]
-            ),
-        ]
+    def _open_pass(self, masks: MaskSet) -> list[ProtocolMessage]:
+        """Send one directional pass's masks: the data mask, then the key masks."""
+        return [self._msg(masks.data_mask), self._msg(masks.key_mask, masks.cross_mask)]
 
     def start(self) -> list[ProtocolMessage]:
-        return self._open_pass(1, Role.CLIENT_A, Role.CLIENT_B, self.masks_ab)
+        return self._open_pass(self.masks_ab)
 
     def _on_unblinded_cross(self, msg) -> list[ProtocolMessage]:
         (partial,) = msg.payloads
@@ -320,7 +302,7 @@ class ServerParty(Party):
         self._check_shape(msg.seq, partial, (rows, self.half_width), "unblinded cross")
         self._hold(cross, recover_cross_product(partial, masks))
         if msg.sender == Role.CLIENT_A:
-            return self._open_pass(6, Role.CLIENT_B, Role.CLIENT_A, self.masks_ba)
+            return self._open_pass(self.masks_ba)
         return []
 
     def _on_own_product(self, msg) -> list[ProtocolMessage]:
@@ -332,7 +314,7 @@ class ServerParty(Party):
 
     _on_own_product_a = _on_own_product_b = _on_own_product
 
-    def _finish(self) -> list[ProtocolMessage]:
+    def _finish(self, last) -> list[ProtocolMessage]:
         features = assemble_mapped_features(
             self._mats["own_a"],
             self._mats["cross_ab"],
@@ -343,7 +325,7 @@ class ServerParty(Party):
         # No message carries the features, so nothing else checks them
         # before they are released.
         if not np.all(np.isfinite(features)):
-            self.abort(12, "mapped features contain non-finite entries")
+            self.abort(last.seq, "mapped features contain non-finite entries")
         self.mapped_features = self._hold("mapped_features", features)
         return []
 
@@ -370,11 +352,9 @@ class ClientParty(Party):
         key_rng: RngStream | None = None,
         key=None,
     ):
-        super().__init__(session_id)
-        if role not in _CLIENTS:
+        if role not in (Role.CLIENT_A, Role.CLIENT_B):
             raise ValueError(f"{role.name} is not a client role")
-        self.role = role
-        self.peer, self._own_seq, self._own_kind = _CLIENTS[role]
+        super().__init__(session_id, role)
         self.x_aug = self._hold("x_aug", augment(x))
         self.n_rows, self.d = self.x_aug.shape[0], self.x_aug.shape[1] - 1
         self.half_width = hyper.half_width
@@ -385,9 +365,7 @@ class ClientParty(Party):
         (data_mask,) = msg.payloads
         self._check_shape(msg.seq, data_mask, self.x_aug.shape, "data mask")
         self._hold("data_mask", data_mask)
-        blinded = self._hold("blinded_data", blind_data(self.x_aug, data_mask))
-        # The peer's key masks go out in between, as seq + 1.
-        return [self._msg(msg.seq + 2, self.peer, MessageKind.BLINDED_DATA, [blinded])]
+        return [self._msg(self._hold("blinded_data", blind_data(self.x_aug, data_mask)))]
 
     def _on_key_masks(self, msg) -> list[ProtocolMessage]:
         key_mask, cross_mask = msg.payloads
@@ -410,14 +388,7 @@ class ClientParty(Party):
         )
         self._hold("own_blinded_key", blinded_key)
         self._hold("own_masked_cross", masked_cross)
-        return [
-            self._msg(
-                msg.seq + 1,
-                self.peer,
-                MessageKind.BLINDED_KEY_AND_CROSS,
-                [blinded_key, masked_cross],
-            )
-        ]
+        return [self._msg(blinded_key, masked_cross)]
 
     def _on_blinded_key_and_cross(self, msg) -> list[ProtocolMessage]:
         blinded_key, masked_cross = msg.payloads
@@ -429,11 +400,10 @@ class ClientParty(Party):
             "partial_cross",
             unblind_cross(masked_cross, blinded_key, self._mats["data_mask"]),
         )
-        return [self._msg(msg.seq + 1, Role.SERVER, MessageKind.UNBLINDED_CROSS, [partial])]
+        return [self._msg(partial)]
 
-    def _finish(self) -> list[ProtocolMessage]:
-        own_product = self._hold("own_product", self.x_aug @ self.key)
-        return [self._msg(self._own_seq, Role.SERVER, self._own_kind, [own_product])]
+    def _finish(self, last) -> list[ProtocolMessage]:
+        return [self._msg(self._hold("own_product", self.x_aug @ self.key))]
 
 
 @dataclass
@@ -503,7 +473,7 @@ def _drive_party(party, endpoint, timeout, record, fail):
             expected = party.expected_receive()
             if expected is None:
                 return
-            seq, sender, _ = expected
+            seq, sender, _, _ = expected
             outbox = party.handle(endpoint.recv(sender, timeout))
     except BaseException as exc:
         fail(party, seq, exc)

@@ -26,6 +26,7 @@ import socket
 import struct
 import threading
 import zlib
+from collections import Counter
 
 import numpy as np
 
@@ -37,8 +38,15 @@ _HEADER = struct.Struct(">4sB16sHBBBB")
 _DIMS = struct.Struct(">II")
 _CRC = struct.Struct(">I")
 
-# The TCP roles that listen, and how many peers dial each; clients only dial.
-LISTENERS = {Role.SERVER: 2, Role.CLIENT_A: 1}
+# One TCP connection per pair of roles, as (dialer, listener): the server
+# listens for both clients, client A for client B, and clients only dial.
+DIALS = (
+    (Role.CLIENT_A, Role.SERVER),
+    (Role.CLIENT_B, Role.SERVER),
+    (Role.CLIENT_B, Role.CLIENT_A),
+)
+# The TCP roles that listen, and how many peers dial each.
+LISTENERS = Counter(listener for _, listener in DIALS)
 
 DEFAULT_TIMEOUT_S = float(os.environ.get("MSBLS_TIMEOUT_MS", "30000")) / 1000.0
 
@@ -284,76 +292,44 @@ def make_tcp_endpoints(
     listen: dict[Role, tuple[str, int]] | None = None,
     connect_timeout: float = 10.0,
 ) -> dict[Role, Endpoint]:
-    """Loopback TCP backend: one connection per pair of roles.
+    """Loopback TCP backend: one connection per ``DIALS`` row.
 
-    The server listens for both clients; client A additionally listens for
-    client B, so clients only ever dial. Passing ``listen`` pins explicit
-    (host, port) pairs for the two listening roles; otherwise ephemeral
-    loopback ports are used.
+    The listening roles bind first; every dial then completes into its
+    listener's backlog, so the accepts run afterwards on the calling thread.
+    Passing ``listen`` pins explicit (host, port) pairs for the listening
+    roles; otherwise ephemeral loopback ports are used. A failure closes
+    every socket opened so far and raises TransportClosed.
     """
     listen = listen or {}
     listeners: dict[Role, socket.socket] = {}
-    for role, expected in LISTENERS.items():
-        lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        lsock.bind(listen.get(role, (host, 0)))
-        lsock.listen(expected)
-        lsock.settimeout(connect_timeout)
-        listeners[role] = lsock
-
-    server_addr = listeners[Role.SERVER].getsockname()
-    client_a_addr = listeners[Role.CLIENT_A].getsockname()
-    accepted: dict[Role, dict[Role, socket.socket]] = {role: {} for role in LISTENERS}
-    errors: list[BaseException] = []
-
-    def accept_loop(role: Role, count: int):
-        try:
-            for _ in range(count):
-                conn, _ = listeners[role].accept()
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                accepted[role][_read_hello(conn)] = conn
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=accept_loop, args=item, daemon=True) for item in LISTENERS.items()
-    ]
-    for t in threads:
-        t.start()
-
-    def dial(addr, role: Role) -> socket.socket:
-        sock = socket.create_connection(addr, timeout=connect_timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        _hello(sock, role)
-        return sock
-
-    a_to_server = dial(server_addr, Role.CLIENT_A)
-    b_to_server = dial(server_addr, Role.CLIENT_B)
-    b_to_a = dial(client_a_addr, Role.CLIENT_B)
-    for t in threads:
-        t.join(connect_timeout)
-    for lsock in listeners.values():
-        lsock.close()
-    if errors:
-        raise TransportClosed(f"tcp setup failed: {errors[0]}")
-
-    return {
-        Role.SERVER: _TcpEndpoint(
-            Role.SERVER,
-            {
-                Role.CLIENT_A: accepted[Role.SERVER][Role.CLIENT_A],
-                Role.CLIENT_B: accepted[Role.SERVER][Role.CLIENT_B],
-            },
-        ),
-        Role.CLIENT_A: _TcpEndpoint(
-            Role.CLIENT_A,
-            {
-                Role.SERVER: a_to_server,
-                Role.CLIENT_B: accepted[Role.CLIENT_A][Role.CLIENT_B],
-            },
-        ),
-        Role.CLIENT_B: _TcpEndpoint(
-            Role.CLIENT_B,
-            {Role.SERVER: b_to_server, Role.CLIENT_A: b_to_a},
-        ),
-    }
+    conns: list[socket.socket] = []
+    peers: dict[Role, dict[Role, socket.socket]] = {role: {} for role in Role}
+    try:
+        for role, backlog in LISTENERS.items():
+            listeners[role] = lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            lsock.bind(listen.get(role, (host, 0)))
+            lsock.listen(backlog)
+            lsock.settimeout(connect_timeout)
+        for dialer, listener in DIALS:
+            sock = socket.create_connection(listeners[listener].getsockname(), connect_timeout)
+            conns.append(sock)
+            _hello(sock, dialer)
+            peers[dialer][listener] = sock
+        for _, listener in DIALS:
+            conn, _ = listeners[listener].accept()
+            conns.append(conn)
+            conn.settimeout(connect_timeout)
+            peers[listener][_read_hello(conn)] = conn
+        for sock in conns:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except BaseException as exc:
+        for sock in conns:
+            sock.close()
+        if not isinstance(exc, (OSError, ValueError)):
+            raise
+        raise TransportClosed(f"tcp setup failed: {exc}") from exc
+    finally:
+        for lsock in listeners.values():
+            lsock.close()
+    return {role: _TcpEndpoint(role, peers[role]) for role in Role}

@@ -1,4 +1,5 @@
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -295,6 +296,53 @@ class TestCli:
         assert result.exit_code == 0, result.output
         (record,) = [json.loads(l) for l in result.output.splitlines() if l.startswith("{")]
         assert (record["message_count"], record["config"]["transport"]) == (12, "tcp")
+
+    def test_busy_listen_port_errors_cleanly(self):
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen(1)
+            port = busy.getsockname()[1]
+            result = CliRunner().invoke(
+                main,
+                [
+                    "--train-size", "200", "--test-size", "50", "--n", "2", "--dz", "4",
+                    "--dh", "20", "--baselines", "msbls",
+                    "--transport", "tcp", "--listen", f"server=127.0.0.1:{port}",
+                ],
+            )
+        assert result.exit_code == 1, result.output
+        assert "error: tcp setup failed" in result.output
+
+
+@pytest.fixture
+def idx_paths(tmp_path):
+    names = ("train-images", "train-labels", "test-images", "test-labels")
+    for name in names:
+        (tmp_path / name).write_bytes(b"")
+    return [arg for name in names for arg in (f"--{name}", str(tmp_path / name))]
+
+
+class TestIgnoredOptionsRejected:
+    """Options the run would not use end it with exit 1 before any work."""
+
+    def _assert_rejected(self, args, phrase):
+        result = CliRunner().invoke(main, ["--train-size", "200", "--test-size", "50", *args])
+        assert result.exit_code == 1, result.output
+        assert "error:" in result.output and phrase in result.output
+
+    def test_data_dir_with_synthetic_dataset(self):
+        self._assert_rejected(["--data-dir", "/no/such/dir"], "data_dir")
+
+    def test_data_dir_with_all_four_idx_paths(self, idx_paths, tmp_path):
+        self._assert_rejected(
+            ["--dataset", "mnist", *idx_paths, "--data-dir", str(tmp_path)], "data_dir"
+        )
+
+    def test_some_but_not_all_idx_paths(self, idx_paths):
+        self._assert_rejected(idx_paths[:4], "all four")
+
+    def test_listen_without_tcp_transport(self):
+        self._assert_rejected(["--listen", "server=127.0.0.1:0"], "tcp")
 
 
 class TestDataSource:

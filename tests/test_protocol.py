@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -359,6 +361,42 @@ class TestFullSession:
             concurrent_results = list(pool.map(solo, inputs))
         for a, b in zip(sequential, concurrent_results):
             assert np.array_equal(a, b)
+
+    def test_transcript_rows_name_sender_and_receiver(self):
+        hyper = BlsHyperParams(map_groups=2, map_dim=4)
+        rng = np.random.default_rng(16)
+        res = run_once(rng.uniform(0, 1, (3, 2)), rng.uniform(0, 1, (4, 2)), hyper)
+        rows = [(e.seq, e.sender, e.receiver, e.kind) for e in res.transcript]
+        assert rows == [
+            (1, "SERVER", "CLIENT_A", "DATA_MASK"),
+            (2, "SERVER", "CLIENT_B", "KEY_MASKS"),
+            (3, "CLIENT_A", "CLIENT_B", "BLINDED_DATA"),
+            (4, "CLIENT_B", "CLIENT_A", "BLINDED_KEY_AND_CROSS"),
+            (5, "CLIENT_A", "SERVER", "UNBLINDED_CROSS"),
+            (6, "SERVER", "CLIENT_B", "DATA_MASK"),
+            (7, "SERVER", "CLIENT_A", "KEY_MASKS"),
+            (8, "CLIENT_B", "CLIENT_A", "BLINDED_DATA"),
+            (9, "CLIENT_A", "CLIENT_B", "BLINDED_KEY_AND_CROSS"),
+            (10, "CLIENT_B", "SERVER", "UNBLINDED_CROSS"),
+            (11, "CLIENT_A", "SERVER", "OWN_PRODUCT_A"),
+            (12, "CLIENT_B", "SERVER", "OWN_PRODUCT_B"),
+        ]
+
+    def test_finished_session_frees_its_parties_without_the_cycle_collector(self):
+        # A reference cycle through a party would keep every matrix it holds
+        # alive until the cyclic collector runs.
+        hyper = BlsHyperParams(map_groups=2, map_dim=4)
+        rng = np.random.default_rng(17)
+        xa, xb = rng.uniform(0, 1, (3, 2)), rng.uniform(0, 1, (4, 2))
+        gc.collect()
+        gc.disable()
+        try:
+            res = run_once(xa, xb, hyper)
+            refs = [weakref.ref(party) for party in res.parties.values()]
+            del res
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
 
 class TamperEndpoint:

@@ -1,4 +1,8 @@
+import gc
+import socket
 import struct
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from msbls import transport
 from msbls.messages import MessageKind, ProtocolMessage, Role
 from msbls.transport import (
     FrameError,
@@ -225,3 +230,31 @@ class TestTcp:
         finally:
             for ep in endpoints.values():
                 ep.close()
+
+    @pytest.mark.parametrize("role", [Role.SERVER, Role.CLIENT_A])
+    def test_busy_listen_address_fails_setup_and_closes_every_socket(self, role):
+        # The server binds first, so a busy client A address also tests that
+        # the already bound server listener is closed.
+        baseline = threading.active_count()
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen(1)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(TransportClosed, match="tcp setup failed"):
+                    make_tcp_endpoints(listen={role: busy.getsockname()})
+                gc.collect()
+        assert [str(w.message) for w in caught] == []
+        assert threading.active_count() == baseline
+
+    def test_interrupted_setup_closes_every_socket_and_is_not_wrapped(self, monkeypatch):
+        def interrupt(sock, role):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(transport, "_hello", interrupt)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(KeyboardInterrupt):
+                make_tcp_endpoints()
+            gc.collect()
+        assert [str(w.message) for w in caught] == []
