@@ -4,7 +4,7 @@
 Useful for exercising the file-based CLI path end to end:
 
     python scripts/make_idx_files.py --out-dir data/
-    msbls --dataset synthetic \
+    msbls --dataset mnist \
         --train-images data/train-images-idx3-ubyte --train-labels data/train-labels-idx1-ubyte \
         --test-images data/t10k-images-idx3-ubyte --test-labels data/t10k-labels-idx1-ubyte
 """

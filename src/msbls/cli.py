@@ -45,9 +45,9 @@ def _parse_role_addr(ctx, param, values):
 @click.option("--data-dir", type=click.Path(), default=None,
               help="Directory holding conventionally named IDX files.")
 @click.option("--train-size", type=int, default=10000, show_default=True,
-              help="Training rows for the synthetic dataset.")
+              help="Training rows, generated or drawn from the IDX files.")
 @click.option("--test-size", type=int, default=2000, show_default=True,
-              help="Test rows for the synthetic dataset.")
+              help="Test rows, generated or drawn from the IDX files.")
 @click.option("--split", "split_text", default="quantity:0.5", show_default=True,
               help="Client split: quantity:<ratio_a> or noniid.")
 @click.option("--n", type=int, default=10, show_default=True,

@@ -21,7 +21,7 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 DESK_DATASET_SEED = 20240601
-# Rows drawn from a real IDX pair by desk_dataset.
+# Seeds the rows that load_idx_subset draws from a real IDX pair.
 DESK_SUBSET_SEED = 13
 
 # The synthetic stand-in: image side, class count, the largest subpixel shift
@@ -31,12 +31,10 @@ SYNTHETIC_CLASSES = 10
 SYNTHETIC_MAX_SHIFT = 4.0
 SYNTHETIC_NOISE = 0.18
 
-# Conventional IDX file names, tried under a data directory.
+# Conventional (images, labels) IDX file names, tried under a data directory.
 _IDX_NAMES = {
-    ("train", "images"): "train-images-idx3-ubyte",
-    ("train", "labels"): "train-labels-idx1-ubyte",
-    ("test", "images"): "t10k-images-idx3-ubyte",
-    ("test", "labels"): "t10k-labels-idx1-ubyte",
+    "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
+    "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
 }
 
 
@@ -147,11 +145,10 @@ def load_idx(images_path, labels_path, name: str | None = None) -> LabeledDatase
     )
 
 
-def write_idx(ds: LabeledDataset, images_path, labels_path, side: int | None = None):
+def write_idx(ds: LabeledDataset, images_path, labels_path):
     """Write a dataset back out as a raw IDX pair (pixels rounded to uint8)."""
     n, d = ds.x.shape
-    if side is None:
-        side = int(round(d ** 0.5))
+    side = int(round(d ** 0.5))
     if side * side != d:
         raise ValueError(f"feature count {d} is not a square image")
     pixels = np.clip(np.rint(ds.x * 255.0), 0, 255).astype(np.uint8)
@@ -213,25 +210,12 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
     return np.eye(num_classes, dtype=np.float64)[labels]
 
 
-def _bilinear_shift(image: np.ndarray, dy: float, dx: float) -> np.ndarray:
-    """Sample `image` at a subpixel offset with bilinear interpolation,
-    zero-padded outside."""
-    side = image.shape[0]
-    padded = np.zeros((side + 2, side + 2))
-    padded[1:-1, 1:-1] = image
-    ys = np.arange(side) - dy + 1.0
-    xs = np.arange(side) - dx + 1.0
-    ys = np.clip(ys, 0.0, side + 1.0 - 1e-9)
-    xs = np.clip(xs, 0.0, side + 1.0 - 1e-9)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
-    tl = padded[np.ix_(y0, x0)]
-    tr = padded[np.ix_(y0, x0 + 1)]
-    bl = padded[np.ix_(y0 + 1, x0)]
-    br = padded[np.ix_(y0 + 1, x0 + 1)]
-    return (1 - wy) * ((1 - wx) * tl + wx * tr) + wy * ((1 - wx) * bl + wx * br)
+def _lerp(a, b, w):
+    """(1 - w) * a + w * b, computed in ``a`` so that a blend allocates no third image."""
+    a *= 1 - w
+    b *= w
+    a += b
+    return a
 
 
 def synthetic_image_dataset(n_samples: int, seed: int = 0) -> LabeledDataset:
@@ -243,57 +227,71 @@ def synthetic_image_dataset(n_samples: int, seed: int = 0) -> LabeledDataset:
     """
     n_classes, side = SYNTHETIC_CLASSES, SYNTHETIC_SIDE
     rng = np.random.Generator(np.random.PCG64(seed))
-    protos = []
-    for _ in range(n_classes):
+    protos = np.zeros((n_classes, side + 2, side + 2))  # zero-padded by one pixel
+    for proto in protos:
         field = gaussian_filter(rng.standard_normal((side, side)), sigma=3.0)
         field -= field.min()
         field /= field.max()
-        protos.append(field)
+        proto[1:-1, 1:-1] = field
     labels = rng.integers(0, n_classes, size=n_samples)
     offsets = rng.uniform(-SYNTHETIC_MAX_SHIFT, SYNTHETIC_MAX_SHIFT, size=(n_samples, 2))
     amplitudes = rng.uniform(0.6, 1.0, size=n_samples)
     pixel_noise = rng.standard_normal((n_samples, side * side)) * SYNTHETIC_NOISE
-    x = np.empty((n_samples, side * side))
-    for i in range(n_samples):
-        img = _bilinear_shift(protos[labels[i]], offsets[i, 0], offsets[i, 1])
-        x[i] = amplitudes[i] * img.ravel()
-    x = np.clip(x + pixel_noise, 0.0, 1.0)
+    # Bilinear sampling of every row's prototype at its offset, one gather per corner.
+    ys = np.clip(np.arange(side) - offsets[:, :1] + 1.0, 0.0, side + 1.0 - 1e-9)
+    xs = np.clip(np.arange(side) - offsets[:, 1:] + 1.0, 0.0, side + 1.0 - 1e-9)
+    y0 = np.floor(ys).astype(int)[:, :, None]
+    x0 = np.floor(xs).astype(int)[:, None, :]
+    wy = ys[:, :, None] - y0
+    wx = xs[:, None, :] - x0
+    rows = labels[:, None, None]
+    img = _lerp(
+        _lerp(protos[rows, y0, x0], protos[rows, y0, x0 + 1], wx),
+        _lerp(protos[rows, y0 + 1, x0], protos[rows, y0 + 1, x0 + 1], wx),
+        wy,
+    )
+    img *= amplitudes[:, None, None]
+    img += pixel_noise.reshape(img.shape)
+    x = np.clip(img, 0.0, 1.0, out=img).reshape(n_samples, side * side)
     return LabeledDataset(x=x, labels=labels, num_classes=n_classes, name="synthetic")
 
 
 def find_idx_pair(data_dir, split: str):
     """Locate conventional IDX files (raw or .gz) under a directory."""
-    data_dir = Path(data_dir)
-    images = data_dir / _IDX_NAMES[(split, "images")]
-    labels = data_dir / _IDX_NAMES[(split, "labels")]
     for suffix in ("", ".gz"):
-        ip, lp = Path(str(images) + suffix), Path(str(labels) + suffix)
-        if ip.exists() and lp.exists():
-            return ip, lp
+        pair = tuple(Path(data_dir, name + suffix) for name in _IDX_NAMES[split])
+        if all(path.exists() for path in pair):
+            return pair
     return None
+
+
+def load_idx_subset(train_pair, test_pair, train_n: int, test_n: int):
+    """(train, test): the ``DESK_SUBSET_SEED`` subset of ``train_n``/``test_n``
+    rows of two IDX (images, labels) pairs, named ``idx-train``/``idx-test``."""
+    rng = np.random.Generator(np.random.PCG64(DESK_SUBSET_SEED))
+    out = []
+    sides = ((train_pair, train_n, "idx-train"), (test_pair, test_n, "idx-test"))
+    for (images, labels), n, name in sides:
+        ds = load_idx(images, labels, name=name)
+        if not 1 <= n <= len(ds):
+            raise ValueError(f"{name} size {n} is outside 1..{len(ds)}, the rows in {images}")
+        out.append(ds.take(np.sort(rng.choice(len(ds), n, replace=False))))
+    return tuple(out)
 
 
 def desk_dataset(
     train_n: int = 10000,
     test_n: int = 2000,
-    data_dir=None,
     dataset_seed: int = DESK_DATASET_SEED,
 ):
-    """Desk-scale train/test pair: a real IDX subset when files are present
-    (``data_dir`` argument or ``MSBLS_DATA_DIR``), otherwise the synthetic
-    stand-in. Returns (train, test).
+    """Desk-scale train/test pair: a real IDX subset when ``MSBLS_DATA_DIR``
+    holds the files, otherwise the synthetic stand-in. Returns (train, test).
     """
-    data_dir = data_dir or os.environ.get("MSBLS_DATA_DIR")
+    data_dir = os.environ.get("MSBLS_DATA_DIR")
     if data_dir:
-        train_pair = find_idx_pair(data_dir, "train")
-        test_pair = find_idx_pair(data_dir, "test")
-        if train_pair and test_pair:
-            train = load_idx(*train_pair, name="idx-train")
-            test = load_idx(*test_pair, name="idx-test")
-            rng = np.random.Generator(np.random.PCG64(DESK_SUBSET_SEED))
-            train = train.take(np.sort(rng.choice(len(train), train_n, replace=False)))
-            test = test.take(np.sort(rng.choice(len(test), test_n, replace=False)))
-            return train, test
+        pairs = [find_idx_pair(data_dir, split) for split in ("train", "test")]
+        if all(pairs):
+            return load_idx_subset(*pairs, train_n, test_n)
     return synthetic_desk_dataset(train_n, test_n, dataset_seed)
 
 

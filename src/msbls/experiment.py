@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bls
 from .datasets import (
-    LabeledDataset, SplitPlan, desk_dataset, load_idx, one_hot, split_dataset,
+    LabeledDataset, SplitPlan, find_idx_pair, load_idx_subset, one_hot, split_dataset,
     synthetic_desk_dataset,
 )
 from .linalg import RNG_ALGORITHM, RngStream, derive_streams
@@ -85,8 +85,9 @@ class ExperimentConfig:
         paths = (self.train_images, self.train_labels, self.test_images, self.test_labels)
         if any(paths) and not all(paths):
             raise ValueError("give all four of train/test images/labels paths, or none")
-        if self.data_dir and (all(paths) or self.dataset == "synthetic"):
-            raise ValueError("data_dir is unused with explicit IDX paths or the synthetic dataset")
+        # A named dataset reads one source, the synthetic dataset none.
+        if bool(self.data_dir) + all(paths) > (self.dataset != "synthetic"):
+            raise ValueError("data_dir and IDX paths exclude each other and the synthetic dataset")
 
 
 @dataclass
@@ -351,23 +352,21 @@ def run_single_party(train: LabeledDataset, test: LabeledDataset, config: Experi
 
 
 def load_experiment_data(config: ExperimentConfig):
-    """Resolve the configured dataset into a (train, test) pair."""
-    if config.train_images:  # the config holds all four IDX paths or none
-        train = load_idx(config.train_images, config.train_labels, name=config.dataset)
-        test = load_idx(config.test_images, config.test_labels, name=config.dataset)
-        return train, test
+    """Resolve the configured dataset into a (train, test) pair of the configured sizes."""
     if config.dataset == "synthetic":
         return synthetic_desk_dataset(config.train_size, config.test_size)
-    data_dir = config.data_dir or os.environ.get("MSBLS_DATA_DIR")
-    if data_dir:
-        train, test = desk_dataset(config.train_size, config.test_size, data_dir=data_dir)
-        if train.name.startswith("synthetic"):
+    pairs = [(config.train_images, config.train_labels), (config.test_images, config.test_labels)]
+    if not config.train_images:  # the config holds all four IDX paths or none
+        data_dir = config.data_dir or os.environ.get("MSBLS_DATA_DIR")
+        if not data_dir:
+            raise FileNotFoundError(
+                f"dataset {config.dataset!r} needs --*-images/--*-labels paths, --data-dir "
+                "or MSBLS_DATA_DIR"
+            )
+        pairs = [find_idx_pair(data_dir, split) for split in ("train", "test")]
+        if not all(pairs):
             raise FileNotFoundError(f"no IDX files for {config.dataset!r} under {data_dir}")
-        return train, test
-    raise FileNotFoundError(
-        f"dataset {config.dataset!r} needs --*-images/--*-labels paths, --data-dir "
-        "or MSBLS_DATA_DIR"
-    )
+    return load_idx_subset(*pairs, config.train_size, config.test_size)
 
 
 def run_experiment(config: ExperimentConfig, train=None, test=None) -> list[MetricsReport]:

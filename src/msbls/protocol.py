@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import transport
-from .bls import BlsHyperParams, augment
+from .bls import BlsHyperParams, augment, generate_map_key_half, generate_mix_key
 from .linalg import RngStream, as_matrix
 from .messages import MessageKind, ProtocolMessage, Role, new_session_id
 
@@ -176,12 +176,10 @@ class Party:
         self._mats[name] = mat
         return mat
 
-    def _hold_key(self, name: str, key, rng: RngStream | None, shape: tuple) -> np.ndarray:
-        """Hold a copy of a persisted key, or draw a fresh one from ``rng``."""
+    def _hold_key(self, name: str, key, shape: tuple) -> np.ndarray:
+        """Hold a copy of a persisted or freshly drawn key."""
         if key is None:
-            if rng is None:
-                raise ValueError(f"{self.role.name} needs a persisted {name} or a key stream")
-            key = rng.standard_normal(*shape)
+            raise ValueError(f"{self.role.name} needs a persisted {name} or a key stream")
         # Copy so a later zeroize cannot destroy caller-persisted keys.
         held = self._hold(name, as_matrix(np.array(key, dtype=np.float64, copy=True), name))
         if held.shape != shape:
@@ -272,7 +270,9 @@ class ServerParty(Party):
             raise ValueError("all dimensions must be positive")
         self.half_width = hyper.half_width
         width = hyper.mapped_width
-        self.mix_key = self._hold_key("mix_key", mix_key, mix_rng, (width, width))
+        if mix_key is None and mix_rng is not None:
+            mix_key = generate_mix_key(hyper, mix_rng)
+        self.mix_key = self._hold_key("mix_key", mix_key, (width, width))
         # Both passes' masks are drawn up front; the mirrored pass gets fresh
         # draws sized to the other client's row count.
         self.masks_ab = draw_mask_set(n_a, d, self.half_width, mask_rng, mask_range, zero_masks)
@@ -358,7 +358,9 @@ class ClientParty(Party):
         self.x_aug = self._hold("x_aug", augment(x))
         self.n_rows, self.d = self.x_aug.shape[0], self.x_aug.shape[1] - 1
         self.half_width = hyper.half_width
-        self.key = self._hold_key("key", key, key_rng, (self.d + 1, self.half_width))
+        if key is None and key_rng is not None:
+            key = generate_map_key_half(self.d, hyper, key_rng)
+        self.key = self._hold_key("key", key, (self.d + 1, self.half_width))
         self.peer_rows = None
 
     def _on_data_mask(self, msg) -> list[ProtocolMessage]:
@@ -489,7 +491,6 @@ def run_protocol(
     mask_range: float = DEFAULT_MASK_RANGE,
     zero_masks: bool = False,
     timeout_s: float | None = None,
-    session_id: bytes | None = None,
     message_tap=None,
 ) -> SessionResult:
     """Run one full 12-message session and return the server-held features.
@@ -507,7 +508,7 @@ def run_protocol(
         raise ValueError(
             f"clients disagree on feature count: {x_a.shape[1]} vs {x_b.shape[1]}"
         )
-    session_id = session_id or new_session_id()
+    session_id = new_session_id()
     timeout = transport.DEFAULT_TIMEOUT_S if timeout_s is None else timeout_s
 
     server = ServerParty(

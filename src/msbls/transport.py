@@ -49,6 +49,8 @@ DIALS = (
 LISTENERS = Counter(listener for _, listener in DIALS)
 
 DEFAULT_TIMEOUT_S = float(os.environ.get("MSBLS_TIMEOUT_MS", "30000")) / 1000.0
+# Seconds any one TCP set-up step may wait: a dial, a hello or an accept.
+CONNECT_TIMEOUT_S = 10.0
 
 
 class FrameError(ValueError):
@@ -287,11 +289,7 @@ def _read_hello(sock: socket.socket) -> Role:
     return Role(role)
 
 
-def make_tcp_endpoints(
-    host: str = "127.0.0.1",
-    listen: dict[Role, tuple[str, int]] | None = None,
-    connect_timeout: float = 10.0,
-) -> dict[Role, Endpoint]:
+def make_tcp_endpoints(listen: dict[Role, tuple[str, int]] | None = None) -> dict[Role, Endpoint]:
     """Loopback TCP backend: one connection per ``DIALS`` row.
 
     The listening roles bind first; every dial then completes into its
@@ -308,18 +306,18 @@ def make_tcp_endpoints(
         for role, backlog in LISTENERS.items():
             listeners[role] = lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            lsock.bind(listen.get(role, (host, 0)))
+            lsock.bind(listen.get(role, ("127.0.0.1", 0)))
             lsock.listen(backlog)
-            lsock.settimeout(connect_timeout)
+            lsock.settimeout(CONNECT_TIMEOUT_S)
         for dialer, listener in DIALS:
-            sock = socket.create_connection(listeners[listener].getsockname(), connect_timeout)
+            sock = socket.create_connection(listeners[listener].getsockname(), CONNECT_TIMEOUT_S)
             conns.append(sock)
             _hello(sock, dialer)
             peers[dialer][listener] = sock
         for _, listener in DIALS:
             conn, _ = listeners[listener].accept()
             conns.append(conn)
-            conn.settimeout(connect_timeout)
+            conn.settimeout(CONNECT_TIMEOUT_S)
             peers[listener][_read_hello(conn)] = conn
         for sock in conns:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.ndimage import gaussian_filter
 
 from msbls.datasets import (
     IDX_IMAGE_MAGIC,
@@ -252,3 +253,44 @@ class TestSynthetic:
         train, test = desk_dataset(train_n=120, test_n=30)
         assert len(train) == 120 and len(test) == 30
         assert train.x.shape[1] == test.x.shape[1]
+
+
+def _per_row_synthetic(n_samples, seed):
+    """Reference sampler: each row's prototype shifted on its own, with the
+    same draws and arithmetic as ``synthetic_image_dataset``."""
+    side, n_classes = 28, 10
+    rng = np.random.Generator(np.random.PCG64(seed))
+    protos = []
+    for _ in range(n_classes):
+        field = gaussian_filter(rng.standard_normal((side, side)), sigma=3.0)
+        field -= field.min()
+        field /= field.max()
+        protos.append(field)
+    labels = rng.integers(0, n_classes, size=n_samples)
+    offsets = rng.uniform(-4.0, 4.0, size=(n_samples, 2))
+    amplitudes = rng.uniform(0.6, 1.0, size=n_samples)
+    pixel_noise = rng.standard_normal((n_samples, side * side)) * 0.18
+    x = np.empty((n_samples, side * side))
+    for i in range(n_samples):
+        padded = np.zeros((side + 2, side + 2))
+        padded[1:-1, 1:-1] = protos[labels[i]]
+        ys = np.clip(np.arange(side) - offsets[i, 0] + 1.0, 0.0, side + 1.0 - 1e-9)
+        xs = np.clip(np.arange(side) - offsets[i, 1] + 1.0, 0.0, side + 1.0 - 1e-9)
+        y0 = np.floor(ys).astype(int)
+        x0 = np.floor(xs).astype(int)
+        wy = (ys - y0)[:, None]
+        wx = (xs - x0)[None, :]
+        tl = padded[np.ix_(y0, x0)]
+        tr = padded[np.ix_(y0, x0 + 1)]
+        bl = padded[np.ix_(y0 + 1, x0)]
+        br = padded[np.ix_(y0 + 1, x0 + 1)]
+        img = (1 - wy) * ((1 - wx) * tl + wx * tr) + wy * ((1 - wx) * bl + wx * br)
+        x[i] = amplitudes[i] * img.ravel()
+    return np.clip(x + pixel_noise, 0.0, 1.0), labels
+
+
+@pytest.mark.parametrize("n_samples, seed", [(1, 0), (7, 3), (64, 20240601)])
+def test_synthetic_equals_per_row_reference(n_samples, seed):
+    ds = synthetic_image_dataset(n_samples, seed=seed)
+    x, labels = _per_row_synthetic(n_samples, seed)
+    assert np.array_equal(ds.x, x) and np.array_equal(ds.labels, labels)

@@ -1,10 +1,12 @@
 import json
+import re
 import socket
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from msbls import datasets
 from msbls.bls import (
     BlsHyperParams,
     augment,
@@ -366,3 +368,78 @@ class TestDataSource:
             ExperimentConfig(dataset="mnist", train_size=50, test_size=10)
         )
         assert (train.name, test.name, len(train), len(test)) == ("idx-train", "idx-test", 50, 10)
+
+
+class TestIdxSource:
+    """Explicit IDX paths and --data-dir feed one loader: the same rows, sized
+    by --train-size/--test-size."""
+
+    @pytest.fixture
+    def idx_files(self, tmp_path, monkeypatch):
+        """300/80-row IDX files under their conventional names, as CLI paths."""
+        monkeypatch.delenv("MSBLS_DATA_DIR", raising=False)
+        train, test = desk_dataset(train_n=300, test_n=80)
+        files = {
+            "--train-images": tmp_path / "train-images-idx3-ubyte",
+            "--train-labels": tmp_path / "train-labels-idx1-ubyte",
+            "--test-images": tmp_path / "t10k-images-idx3-ubyte",
+            "--test-labels": tmp_path / "t10k-labels-idx1-ubyte",
+        }
+        write_idx(train, files["--train-images"], files["--train-labels"])
+        write_idx(test, files["--test-images"], files["--test-labels"])
+        return tmp_path, [arg for opt, path in files.items() for arg in (opt, str(path))]
+
+    def _invoke(self, *args):
+        return CliRunner().invoke(
+            main,
+            ["--n", "2", "--dz", "4", "--dh", "20", "--baselines", "nbls", *args],
+        )
+
+    def test_synthetic_with_idx_paths_rejected(self, idx_files):
+        _, paths = idx_files
+        result = self._invoke("--dataset", "synthetic", *paths)
+        assert result.exit_code == 1, result.output
+        assert "error:" in result.output and "IDX paths" in result.output
+
+    def test_paths_honour_sizes_and_match_data_dir(self, idx_files):
+        data_dir, paths = idx_files
+        by_path = load_experiment_data(ExperimentConfig(
+            dataset="mnist", train_size=50, test_size=10,
+            train_images=paths[1], train_labels=paths[3],
+            test_images=paths[5], test_labels=paths[7],
+        ))
+        by_dir = load_experiment_data(
+            ExperimentConfig(dataset="mnist", data_dir=str(data_dir), train_size=50, test_size=10)
+        )
+        assert [(ds.name, len(ds)) for ds in by_path] == [("idx-train", 50), ("idx-test", 10)]
+        for a, b in zip(by_path, by_dir):
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.labels, b.labels)
+            assert a.name == b.name
+
+        result = self._invoke(
+            "--dataset", "mnist", *paths, "--train-size", "50", "--test-size", "10"
+        )
+        assert result.exit_code == 0, result.output
+        (record,) = [json.loads(l) for l in result.output.splitlines() if l.startswith("{")]
+        assert record["dataset"] == "idx-train"
+
+    @pytest.mark.parametrize(
+        "option, size, rows", [("--train-size", 301, 300), ("--test-size", 0, 80)]
+    )
+    def test_size_outside_file_rows_rejected(self, idx_files, option, size, rows):
+        _, paths = idx_files
+        result = self._invoke("--dataset", "mnist", *paths, "--train-size", "50",
+                              "--test-size", "10", option, str(size))
+        assert result.exit_code == 1, result.output
+        assert "error:" in result.output
+        assert f"size {size} " in result.output and f"{rows}," in result.output
+
+    def test_empty_data_dir_raises_without_generating_data(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MSBLS_DATA_DIR", raising=False)
+
+        def no_synthetic(*args, **kwargs):
+            raise AssertionError("a missing IDX directory must not build synthetic data")
+
+        monkeypatch.setattr(datasets, "synthetic_image_dataset", no_synthetic)
+        with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path))):
+            load_experiment_data(ExperimentConfig(dataset="mnist", data_dir=str(tmp_path)))
