@@ -200,13 +200,10 @@ def generate_enhancement_keys(hyper: BlsHyperParams, rng: RngStream):
 
 
 def train_output_weights(zn, hm, y_onehot, ridge: float) -> np.ndarray:
-    """Ridge-solve the readout on the concatenated feature matrix [Zn | Hm]."""
-    zn = as_matrix(zn, "Zn")
-    hm = as_matrix(hm, "Hm")
-    if zn.shape[0] != hm.shape[0]:
-        raise ValueError(
-            f"row mismatch: Zn has {zn.shape[0]} rows, Hm has {hm.shape[0]}"
-        )
+    """Ridge-solve the readout on the concatenated feature matrix [Zn | Hm];
+    ``ridge_solve`` validates the stack."""
+    if len(zn) != len(hm):
+        raise ValueError(f"row mismatch: Zn has {len(zn)} rows, Hm has {len(hm)}")
     return ridge_solve(np.hstack([zn, hm]), y_onehot, ridge)
 
 

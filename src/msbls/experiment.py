@@ -78,6 +78,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown baselines: {sorted(unknown)}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        # An IDX source checks its sizes against its files' rows as it loads them.
+        if self.dataset == "synthetic":
+            for name in ("train_size", "test_size"):
+                if getattr(self, name) < 1:
+                    raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.transport not in ("inproc", "tcp"):
             raise ValueError(f"unknown transport {self.transport!r}")
         if self.listen and self.transport != "tcp":

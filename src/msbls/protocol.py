@@ -38,9 +38,11 @@ import numpy as np
 from . import transport
 from .bls import BlsHyperParams, augment, generate_map_key_half, generate_mix_key
 from .linalg import RngStream, as_matrix
-from .messages import MessageKind, ProtocolMessage, Role, new_session_id
+from .messages import SCHEDULE, ProtocolMessage, Role, new_session_id
 
 DEFAULT_MASK_RANGE = 1e3
+# Masks are drawn from a span of 2 * mask_range, which must stay finite.
+MAX_MASK_RANGE = float(np.finfo(np.float64).max) / 2
 
 
 class ProtocolAbort(RuntimeError):
@@ -71,16 +73,8 @@ class MaskSet:
     cross_mask: np.ndarray
 
 
-def draw_mask_set(
-    n_rows: int,
-    d: int,
-    half_width: int,
-    rng: RngStream,
-    mask_range: float,
-    zero_masks: bool = False,
-) -> MaskSet:
-    # In MaskSet field order: data mask, key mask, cross mask.
-    shapes = ((n_rows, d + 1), (d + 1, half_width), (n_rows, half_width))
+def draw_mask_set(shapes, rng: RngStream, mask_range: float, zero_masks: bool = False) -> MaskSet:
+    """One pass's masks, ``shapes`` in MaskSet field order: data, key, cross."""
     if zero_masks:
         return MaskSet(*(np.zeros(shape) for shape in shapes))
     return MaskSet(*(rng.uniform(-mask_range, mask_range, *shape) for shape in shapes))
@@ -137,39 +131,24 @@ def assemble_mapped_features(own_a, cross_ab, cross_ba, own_b, mix_key) -> np.nd
     return block @ mix_key
 
 
-# The session, one row per message in seq order: (seq, sender, receiver, kind).
-# Each party receives and sends its own rows in this order.
-SCHEDULE = (
-    (1, Role.SERVER, Role.CLIENT_A, MessageKind.DATA_MASK),
-    (2, Role.SERVER, Role.CLIENT_B, MessageKind.KEY_MASKS),
-    (3, Role.CLIENT_A, Role.CLIENT_B, MessageKind.BLINDED_DATA),
-    (4, Role.CLIENT_B, Role.CLIENT_A, MessageKind.BLINDED_KEY_AND_CROSS),
-    (5, Role.CLIENT_A, Role.SERVER, MessageKind.UNBLINDED_CROSS),
-    (6, Role.SERVER, Role.CLIENT_B, MessageKind.DATA_MASK),
-    (7, Role.SERVER, Role.CLIENT_A, MessageKind.KEY_MASKS),
-    (8, Role.CLIENT_B, Role.CLIENT_A, MessageKind.BLINDED_DATA),
-    (9, Role.CLIENT_A, Role.CLIENT_B, MessageKind.BLINDED_KEY_AND_CROSS),
-    (10, Role.CLIENT_B, Role.SERVER, MessageKind.UNBLINDED_CROSS),
-    (11, Role.CLIENT_A, Role.SERVER, MessageKind.OWN_PRODUCT_A),
-    (12, Role.CLIENT_B, Role.SERVER, MessageKind.OWN_PRODUCT_B),
-)
-
-
 class Party:
     """Base state machine: its ``SCHEDULE`` rows in order, held-matrix registry.
 
-    Payloads arrive validated by ``ProtocolMessage``; handlers check only
-    that their shapes fit this party's state.
+    ``dims`` holds the session dimensions this party knows; one it does not
+    know yet is taken from the first received payload that carries it.
+    ``handle`` checks every payload's shape against its row before any
+    handler runs.
     """
 
-    def __init__(self, session_id: bytes, role: Role):
+    def __init__(self, session_id: bytes, role: Role, dims: dict[str, int]):
         self.session_id = session_id
         self.role = role
+        self.dims = dims
         self.aborted = False
         # Built eagerly: a generator over SCHEDULE that read self.role would
         # tie the party into a reference cycle and delay freeing its matrices.
         self._receives = [row for row in SCHEDULE if row[2] == role]
-        self._sends = iter([row for row in SCHEDULE if row[1] == role])
+        self._sends = [row for row in SCHEDULE if row[1] == role]
         self._mats: dict[str, np.ndarray] = {}
 
     def _hold(self, name: str, mat: np.ndarray) -> np.ndarray:
@@ -211,7 +190,7 @@ class Party:
         expected = self.expected_receive()
         if expected is None:
             self.abort(msg.seq, "unexpected message after schedule end")
-        seq, sender, _, kind = expected
+        seq, sender, _, kind, shapes = expected
         if msg.session_id != self.session_id:
             self.abort(msg.seq, "message from a different session")
         if msg.receiver != self.role:
@@ -222,6 +201,12 @@ class Party:
                 f"expected seq {seq} {kind.name} from {sender.name}, "
                 f"got seq {msg.seq} {msg.kind.name} from {msg.sender.name}",
             )
+        if len(msg.payloads) != len(shapes):
+            self.abort(seq, f"{kind.name} needs {len(shapes)} payloads, got {len(msg.payloads)}")
+        for p, names in zip(msg.payloads, shapes):
+            want = tuple(self.dims.setdefault(name, n) for name, n in zip(names, p.shape))
+            if p.shape != want:
+                self.abort(seq, f"{kind.name} payload has shape {p.shape}, expected {want}")
         out = getattr(self, f"_on_{kind.name.lower()}")(msg)
         self._receives.pop(0)
         if not self._receives:
@@ -234,7 +219,7 @@ class Party:
 
     def _msg(self, *payloads) -> ProtocolMessage:
         """This party's next scheduled message, carrying ``payloads``."""
-        seq, sender, receiver, kind = next(self._sends)
+        seq, sender, receiver, kind, _ = self._sends.pop(0)
         return ProtocolMessage(
             session_id=self.session_id,
             seq=seq,
@@ -243,10 +228,6 @@ class Party:
             kind=kind,
             payloads=payloads,
         )
-
-    def _check_shape(self, seq, mat, shape, what: str):
-        if mat.shape != shape:
-            self.abort(seq, f"{what} has shape {mat.shape}, expected {shape}")
 
 
 class ServerParty(Party):
@@ -265,27 +246,30 @@ class ServerParty(Party):
         mask_range: float = DEFAULT_MASK_RANGE,
         zero_masks: bool = False,
     ):
-        super().__init__(session_id, Role.SERVER)
         if min(n_a, n_b, d) < 1:
             raise ValueError("all dimensions must be positive")
-        self.half_width = hyper.half_width
+        if not 0 < mask_range <= MAX_MASK_RANGE:
+            raise ValueError(f"mask_range must be in (0, {MAX_MASK_RANGE!r}], got {mask_range}")
+        dims = {"a": n_a, "b": n_b, "d1": d + 1, "h": hyper.half_width}
+        super().__init__(session_id, Role.SERVER, dims)
         width = hyper.mapped_width
         if mix_key is None and mix_rng is not None:
             mix_key = generate_mix_key(hyper, mix_rng)
         self.mix_key = self._hold_key("mix_key", mix_key, (width, width))
-        # Both passes' masks are drawn up front; the mirrored pass gets fresh
-        # draws sized to the other client's row count.
-        self.masks_ab = draw_mask_set(n_a, d, self.half_width, mask_rng, mask_range, zero_masks)
-        self.masks_ba = draw_mask_set(n_b, d, self.half_width, mask_rng, mask_range, zero_masks)
+        # Both passes' masks are drawn up front, each in the shapes of the
+        # server's opening sends of that pass (seq 1 and 2, then 6 and 7).
+        shapes = [tuple(dims[n] for n in names) for row in self._sends for names in row[4]]
+        self.masks_ab = draw_mask_set(shapes[:3], mask_rng, mask_range, zero_masks)
+        self.masks_ba = draw_mask_set(shapes[3:], mask_rng, mask_range, zero_masks)
         for tag, ms in (("ab", self.masks_ab), ("ba", self.masks_ba)):
             self._hold(f"data_mask_{tag}", ms.data_mask)
             self._hold(f"key_mask_{tag}", ms.key_mask)
             self._hold(f"cross_mask_{tag}", ms.cross_mask)
-        # Per client: its row count, the masks of the pass in which it holds
-        # the data, and the names of its cross and own blocks.
+        # Per client: the masks of the pass in which it holds the data, and
+        # the names of its cross and own blocks.
         self._blocks = {
-            Role.CLIENT_A: (n_a, self.masks_ab, "cross_ab", "own_a"),
-            Role.CLIENT_B: (n_b, self.masks_ba, "cross_ba", "own_b"),
+            Role.CLIENT_A: (self.masks_ab, "cross_ab", "own_a"),
+            Role.CLIENT_B: (self.masks_ba, "cross_ba", "own_b"),
         }
         self.mapped_features = None
 
@@ -298,8 +282,7 @@ class ServerParty(Party):
 
     def _on_unblinded_cross(self, msg) -> list[ProtocolMessage]:
         (partial,) = msg.payloads
-        rows, masks, cross, _ = self._blocks[msg.sender]
-        self._check_shape(msg.seq, partial, (rows, self.half_width), "unblinded cross")
+        masks, cross, _ = self._blocks[msg.sender]
         self._hold(cross, recover_cross_product(partial, masks))
         if msg.sender == Role.CLIENT_A:
             return self._open_pass(self.masks_ba)
@@ -307,9 +290,7 @@ class ServerParty(Party):
 
     def _on_own_product(self, msg) -> list[ProtocolMessage]:
         (own,) = msg.payloads
-        rows, _, _, name = self._blocks[msg.sender]
-        self._check_shape(msg.seq, own, (rows, self.half_width), "own product")
-        self._hold(name, own)
+        self._hold(self._blocks[msg.sender][2], own)
         return []
 
     _on_own_product_a = _on_own_product_b = _on_own_product
@@ -354,36 +335,28 @@ class ClientParty(Party):
     ):
         if role not in (Role.CLIENT_A, Role.CLIENT_B):
             raise ValueError(f"{role.name} is not a client role")
-        super().__init__(session_id, role)
-        self.x_aug = self._hold("x_aug", augment(x))
-        self.n_rows, self.d = self.x_aug.shape[0], self.x_aug.shape[1] - 1
-        self.half_width = hyper.half_width
+        x_aug = augment(x)
+        rows, d1 = x_aug.shape
+        own = "a" if role == Role.CLIENT_A else "b"
+        super().__init__(session_id, role, {own: rows, "d1": d1, "h": hyper.half_width})
+        self.x_aug = self._hold("x_aug", x_aug)
         if key is None and key_rng is not None:
-            key = generate_map_key_half(self.d, hyper, key_rng)
-        self.key = self._hold_key("key", key, (self.d + 1, self.half_width))
-        self.peer_rows = None
+            key = generate_map_key_half(d1 - 1, hyper, key_rng)
+        self.key = self._hold_key("key", key, (d1, hyper.half_width))
 
     def _on_data_mask(self, msg) -> list[ProtocolMessage]:
         (data_mask,) = msg.payloads
-        self._check_shape(msg.seq, data_mask, self.x_aug.shape, "data mask")
         self._hold("data_mask", data_mask)
         return [self._msg(self._hold("blinded_data", blind_data(self.x_aug, data_mask)))]
 
     def _on_key_masks(self, msg) -> list[ProtocolMessage]:
         key_mask, cross_mask = msg.payloads
-        self._check_shape(msg.seq, key_mask, (self.d + 1, self.half_width), "key mask")
-        if cross_mask.shape[1] != self.half_width:
-            self.abort(msg.seq, f"cross mask has width {cross_mask.shape[1]}")
         self._hold("key_mask", key_mask)
         self._hold("cross_mask", cross_mask)
-        self.peer_rows = cross_mask.shape[0]
         return []
 
     def _on_blinded_data(self, msg) -> list[ProtocolMessage]:
         (peer_blinded_data,) = msg.payloads
-        self._check_shape(
-            msg.seq, peer_blinded_data, (self.peer_rows, self.d + 1), "peer blinded data"
-        )
         self._hold("peer_blinded_data", peer_blinded_data)
         blinded_key, masked_cross = blind_key_and_cross(
             peer_blinded_data, self.key, self._mats["key_mask"], self._mats["cross_mask"]
@@ -394,8 +367,6 @@ class ClientParty(Party):
 
     def _on_blinded_key_and_cross(self, msg) -> list[ProtocolMessage]:
         blinded_key, masked_cross = msg.payloads
-        self._check_shape(msg.seq, blinded_key, (self.d + 1, self.half_width), "blinded key")
-        self._check_shape(msg.seq, masked_cross, (self.n_rows, self.half_width), "masked cross")
         self._hold("peer_blinded_key", blinded_key)
         self._hold("masked_cross", masked_cross)
         partial = self._hold(
@@ -475,7 +446,7 @@ def _drive_party(party, endpoint, timeout, record, fail):
             expected = party.expected_receive()
             if expected is None:
                 return
-            seq, sender, _, _ = expected
+            seq, sender = expected[:2]
             outbox = party.handle(endpoint.recv(sender, timeout))
     except BaseException as exc:
         fail(party, seq, exc)
@@ -502,27 +473,10 @@ def run_protocol(
     when set, sees every sent message (diagnostics only; the transcript
     itself records metadata, never payloads).
     """
-    x_a = as_matrix(x_a, "x_a")
-    x_b = as_matrix(x_b, "x_b")
-    if x_a.shape[1] != x_b.shape[1]:
-        raise ValueError(
-            f"clients disagree on feature count: {x_a.shape[1]} vs {x_b.shape[1]}"
-        )
     session_id = new_session_id()
     timeout = transport.DEFAULT_TIMEOUT_S if timeout_s is None else timeout_s
 
-    server = ServerParty(
-        session_id,
-        n_a=x_a.shape[0],
-        n_b=x_b.shape[0],
-        d=x_a.shape[1],
-        hyper=hyper,
-        mask_rng=rngs.mask,
-        mix_rng=rngs.mix,
-        mix_key=None if keys is None else keys.mix_key,
-        mask_range=mask_range,
-        zero_masks=zero_masks,
-    )
+    # The clients validate their own rows; the server takes its dimensions from them.
     client_a = ClientParty(
         session_id, Role.CLIENT_A, x_a, hyper,
         key_rng=rngs.key_a, key=None if keys is None else keys.key_a,
@@ -530,6 +484,21 @@ def run_protocol(
     client_b = ClientParty(
         session_id, Role.CLIENT_B, x_b, hyper,
         key_rng=rngs.key_b, key=None if keys is None else keys.key_b,
+    )
+    (n_a, d1), (n_b, d1_b) = client_a.x_aug.shape, client_b.x_aug.shape
+    if d1 != d1_b:
+        raise ValueError(f"clients disagree on feature count: {d1 - 1} vs {d1_b - 1}")
+    server = ServerParty(
+        session_id,
+        n_a=n_a,
+        n_b=n_b,
+        d=d1 - 1,
+        hyper=hyper,
+        mask_rng=rngs.mask,
+        mix_rng=rngs.mix,
+        mix_key=None if keys is None else keys.mix_key,
+        mask_range=mask_range,
+        zero_masks=zero_masks,
     )
     parties = {Role.SERVER: server, Role.CLIENT_A: client_a, Role.CLIENT_B: client_b}
 

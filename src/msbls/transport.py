@@ -9,7 +9,7 @@ Wire frame (all integers big-endian, floats IEEE-754 big-endian doubles):
     sender         1 byte
     receiver       1 byte
     kind           1 byte
-    payload_count  1 byte   1 or 2
+    payload_count  1 byte   1..MAX_PAYLOADS (the most any SCHEDULE row carries)
     per payload:   rows u32, cols u32, rows*cols f64 (row-major)
     checksum       4 bytes  CRC32 of all preceding frame bytes
 
@@ -30,7 +30,7 @@ from collections import Counter
 
 import numpy as np
 
-from .messages import MessageKind, ProtocolMessage, Role
+from .messages import MAX_PAYLOADS, MessageKind, ProtocolMessage, Role
 
 MAGIC = b"MSBL"
 VERSION = 1
@@ -96,8 +96,8 @@ def _check_header(header: bytes) -> list:
         raise FrameError(f"bad magic {magic!r}")
     if version != VERSION:
         raise FrameError(f"unsupported version {version}")
-    if fields[-1] not in (1, 2):
-        raise FrameError(f"payload count must be 1 or 2, got {fields[-1]}")
+    if not 1 <= fields[-1] <= MAX_PAYLOADS:
+        raise FrameError(f"payload count must be in 1..{MAX_PAYLOADS}, got {fields[-1]}")
     return fields
 
 

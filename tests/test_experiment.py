@@ -443,3 +443,33 @@ class TestIdxSource:
         monkeypatch.setattr(datasets, "synthetic_image_dataset", no_synthetic)
         with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path))):
             load_experiment_data(ExperimentConfig(dataset="mnist", data_dir=str(tmp_path)))
+
+
+class TestOutOfRangeValuesRejected:
+    """A size below 1 or a mask range without a finite positive span ends the
+    run with exit 1 and an error naming the field and the value, never a traceback."""
+
+    @pytest.mark.parametrize("option, value, shown", [
+        ("--train-size", "0", "0"),
+        ("--train-size", "-5", "-5"),
+        ("--test-size", "0", "0"),
+        ("--test-size", "-5", "-5"),
+        ("--mask-range", "inf", "inf"),
+        ("--mask-range", "nan", "nan"),
+        ("--mask-range", "1e308", "1e+308"),
+        ("--mask-range", "-1", "-1.0"),
+        ("--mask-range", "0", "0.0"),
+    ])
+    def test_rejected_cleanly(self, option, value, shown):
+        result = CliRunner().invoke(
+            main,
+            [
+                "--train-size", "200", "--test-size", "50", "--n", "2", "--dz", "4",
+                "--dh", "20", "--baselines", "msbls,nbls", option, value,
+            ],
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        field = option[2:].replace("-", "_")
+        assert result.output.startswith(f"error: {field} must be"), result.output
+        assert f"got {shown}" in result.output

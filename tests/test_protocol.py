@@ -11,6 +11,7 @@ from msbls import transport
 from msbls.bls import BlsHyperParams, augment, mapped_features_simplified
 from msbls.linalg import RngStream, derive_streams, random_matrix
 from msbls.messages import MessageKind, ProtocolMessage, Role
+from msbls.messages import SCHEDULE
 from msbls.protocol import (
     MaskSet,
     PartyRngs,
@@ -621,3 +622,56 @@ class TestAbort:
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == baseline
+
+
+def tampered_abort(seq, rewrite):
+    """The abort of a small session whose ``seq`` message is rewritten at its
+    receiver; every party must end zeroized."""
+    hyper = BlsHyperParams(map_groups=2, map_dim=4)
+    rng = np.random.default_rng(18)
+    xa, xb = rng.uniform(0, 1, (4, 3)), rng.uniform(0, 1, (5, 3))
+    receiver = RECEIVER_OF_SEQ[seq]
+    endpoints = make_bus_endpoints()
+    endpoints[receiver] = RewriteEndpoint(endpoints[receiver], seq, rewrite)
+    with pytest.raises(ProtocolAbort) as excinfo:
+        run_protocol(xa, xb, hyper, party_rngs(18), endpoints=endpoints, timeout_s=2.0)
+    for party in excinfo.value.parties.values():
+        assert party.aborted
+        assert party.view_matrices() == {}
+    return excinfo.value
+
+
+class TestScheduleShapes:
+    """Each ``SCHEDULE`` row states its payloads' shapes in the session's dimensions."""
+
+    def test_transcript_shapes_are_the_schedule_rows_resolved(self):
+        hyper = BlsHyperParams(map_groups=2, map_dim=6)
+        rng = np.random.default_rng(19)
+        d = 3
+        train = run_once(rng.uniform(0, 1, (5, d)), rng.uniform(0, 1, (9, d)), hyper)
+        test = run_protocol(
+            rng.uniform(0, 1, (8, d)), rng.uniform(0, 1, (2, d)), hyper,
+            PartyRngs(mask=RngStream(20)), keys=train.keys,
+        )
+        for res, (n_a, n_b) in ((train, (5, 9)), (test, (8, 2))):
+            dims = {"a": n_a, "b": n_b, "d1": d + 1, "h": hyper.half_width}
+            assert [e.seq for e in res.transcript] == [row[0] for row in SCHEDULE]
+            assert [e.payload_shapes for e in res.transcript] == [
+                [tuple(dims[name] for name in names) for names in row[4]] for row in SCHEDULE
+            ]
+
+    def test_missing_payload_aborts_at_its_receiver_naming_the_count(self):
+        abort = tampered_abort(2, lambda msg: {"payloads": msg.payloads[:1]})
+        assert (abort.role, abort.seq) == (Role.CLIENT_B, 2)
+        assert "KEY_MASKS needs 2 payloads, got 1" in abort.reason
+
+    def test_cross_mask_with_wrong_rows_aborts_at_the_blinded_data(self):
+        # B learns A's row count from the seq-2 cross mask, so a taller mask
+        # surfaces when A's real rows arrive at seq 3.
+        def taller_cross_mask(msg):
+            key_mask, cross_mask = msg.payloads
+            return {"payloads": (key_mask, np.vstack([cross_mask, cross_mask[:1]]))}
+
+        abort = tampered_abort(2, taller_cross_mask)
+        assert (abort.role, abort.seq) == (Role.CLIENT_B, 3)
+        assert "BLINDED_DATA payload has shape (4, 4), expected (5, 4)" in abort.reason
