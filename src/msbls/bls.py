@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .linalg import RngStream, as_matrix, ridge_solve
+from .linalg import RngStream, as_matrix, check_ridge, ridge_solve
 
 ACTIVATIONS = {
     "tanh": np.tanh,
@@ -41,8 +41,7 @@ class BlsHyperParams:
         for name in ("map_groups", "map_dim", "enh_groups", "enh_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.ridge <= 0:
-            raise ValueError(f"ridge must be positive, got {self.ridge}")
+        check_ridge(self.ridge)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}")
         if self.mapped_width % 2 != 0:

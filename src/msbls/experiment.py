@@ -32,7 +32,7 @@ from .datasets import (
     synthetic_desk_dataset,
 )
 from .linalg import RNG_ALGORITHM, RngStream, derive_streams
-from .protocol import DEFAULT_MASK_RANGE, PartyRngs, run_protocol
+from .protocol import DEFAULT_MASK_RANGE, PartyRngs, check_mask_range, run_protocol
 from .transport import make_bus_endpoints, make_tcp_endpoints
 
 # Positional stream derivation order; part of the reproducibility contract.
@@ -78,6 +78,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown baselines: {sorted(unknown)}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        check_mask_range(self.mask_range)
         # An IDX source checks its sizes against its files' rows as it loads them.
         if self.dataset == "synthetic":
             for name in ("train_size", "test_size"):

@@ -89,9 +89,16 @@ def random_matrix(rows: int, cols: int, dist, rng: RngStream) -> np.ndarray:
     raise ValueError(f"unknown distribution {dist!r}")
 
 
-def _spd_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # gram is (lambda I + G) with lambda > 0, hence SPD for finite input;
-    # a Cholesky failure means the problem is numerically out of reach.
+def check_ridge(ridge: float) -> None:
+    """The ridge must be positive and finite: inf zeroes the weights, nan poisons them."""
+    if not 0 < ridge < np.inf:
+        raise ValueError(f"ridge must be positive and finite, got {ridge}")
+
+
+def _spd_solve(gram: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarray:
+    # The ridge (> 0) on the diagonal makes the Gram matrix SPD for finite
+    # input; a Cholesky failure means the problem is numerically out of reach.
+    gram[np.diag_indices_from(gram)] += ridge
     try:
         factor = cho_factor(gram, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -107,16 +114,11 @@ def pseudoinverse(a, ridge: float) -> np.ndarray:
     cols(A) x rows(A). The factorization runs on the smaller Gram matrix.
     """
     a = as_matrix(a, "A")
-    if ridge <= 0:
-        raise ValueError(f"ridge must be positive, got {ridge}")
+    check_ridge(ridge)
     n, f = a.shape
     if n <= f:
-        gram = a @ a.T
-        gram[np.diag_indices_from(gram)] += ridge
-        return a.T @ _spd_solve(gram, np.eye(n))
-    gram = a.T @ a
-    gram[np.diag_indices_from(gram)] += ridge
-    return _spd_solve(gram, a.T)
+        return a.T @ _spd_solve(a @ a.T, ridge, np.eye(n))
+    return _spd_solve(a.T @ a, ridge, a.T)
 
 
 def ridge_solve(a, y, ridge: float) -> np.ndarray:
@@ -127,17 +129,12 @@ def ridge_solve(a, y, ridge: float) -> np.ndarray:
     """
     a = as_matrix(a, "A")
     y = as_matrix(y, "Y")
-    if ridge <= 0:
-        raise ValueError(f"ridge must be positive, got {ridge}")
+    check_ridge(ridge)
     if a.shape[0] != y.shape[0]:
         raise ValueError(
             f"row mismatch: A has {a.shape[0]} rows, Y has {y.shape[0]}"
         )
     n, f = a.shape
     if n >= f:
-        gram = a.T @ a
-        gram[np.diag_indices_from(gram)] += ridge
-        return _spd_solve(gram, a.T @ y)
-    gram = a @ a.T
-    gram[np.diag_indices_from(gram)] += ridge
-    return a.T @ _spd_solve(gram, y)
+        return _spd_solve(a.T @ a, ridge, a.T @ y)
+    return a.T @ _spd_solve(a @ a.T, ridge, y)

@@ -1,15 +1,27 @@
-"""Typed matrix-bearing messages exchanged by the three protocol roles, and
-the session table (`SCHEDULE`) that fixes their order and payload shapes."""
+"""Typed matrix-bearing messages of the three protocol roles, the session table
+(`SCHEDULE`) that fixes their order and payload shapes, and their wire frame."""
 
 from __future__ import annotations
 
 import enum
+import struct
 import uuid
 from dataclasses import dataclass
 
 import numpy as np
 
 SESSION_ID_BYTES = 16
+
+# The v1 wire frame, all big-endian: FRAME_HEADER (magic, version, session_id,
+# seq, sender, receiver, kind, payload count); per payload FRAME_DIMS (rows,
+# cols) and rows*cols WIRE_FLOAT entries, row-major; FRAME_CRC, the CRC32 of
+# every preceding frame byte.
+MAGIC = b"MSBL"
+VERSION = 1
+FRAME_HEADER = struct.Struct(f">4sB{SESSION_ID_BYTES}sHBBBB")
+FRAME_DIMS = struct.Struct(">II")
+FRAME_CRC = struct.Struct(">I")
+WIRE_FLOAT = np.dtype(">f8")
 
 
 class Role(enum.IntEnum):
@@ -88,8 +100,8 @@ class ProtocolMessage:
     @property
     def encoded_size(self) -> int:
         """Exact byte length of this message's wire frame."""
-        # header(27) + per payload dims(8) + entries(8 each) + crc32(4)
-        return 27 + sum(8 + p.size * 8 for p in self.payloads) + 4
+        entries = sum(FRAME_DIMS.size + p.size * WIRE_FLOAT.itemsize for p in self.payloads)
+        return FRAME_HEADER.size + entries + FRAME_CRC.size
 
     def payload_shapes(self) -> list[tuple[int, int]]:
         return [tuple(p.shape) for p in self.payloads]

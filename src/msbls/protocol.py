@@ -45,6 +45,11 @@ DEFAULT_MASK_RANGE = 1e3
 MAX_MASK_RANGE = float(np.finfo(np.float64).max) / 2
 
 
+def check_mask_range(mask_range: float) -> None:
+    if not 0 < mask_range <= MAX_MASK_RANGE:
+        raise ValueError(f"mask_range must be in (0, {MAX_MASK_RANGE!r}], got {mask_range}")
+
+
 class ProtocolAbort(RuntimeError):
     """Session failed; carries the aborting role and offending step.
 
@@ -248,8 +253,7 @@ class ServerParty(Party):
     ):
         if min(n_a, n_b, d) < 1:
             raise ValueError("all dimensions must be positive")
-        if not 0 < mask_range <= MAX_MASK_RANGE:
-            raise ValueError(f"mask_range must be in (0, {MAX_MASK_RANGE!r}], got {mask_range}")
+        check_mask_range(mask_range)
         dims = {"a": n_a, "b": n_b, "d1": d + 1, "h": hyper.half_width}
         super().__init__(session_id, Role.SERVER, dims)
         width = hyper.mapped_width

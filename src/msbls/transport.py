@@ -1,21 +1,13 @@
 """Message delivery over two interchangeable backends.
 
-Wire frame (all integers big-endian, floats IEEE-754 big-endian doubles):
-
-    magic          4 bytes  b"MSBL"
-    version        1 byte   0x01
-    session_id    16 bytes
-    seq            2 bytes  unsigned
-    sender         1 byte
-    receiver       1 byte
-    kind           1 byte
-    payload_count  1 byte   1..MAX_PAYLOADS (the most any SCHEDULE row carries)
-    per payload:   rows u32, cols u32, rows*cols f64 (row-major)
-    checksum       4 bytes  CRC32 of all preceding frame bytes
-
-Frames round-trip bit-exactly for finite matrices; bad magic, bad version,
-truncation or checksum mismatch reject the frame without state change.
-Delivery is FIFO per directed (sender, receiver) pair on both backends.
+Over TCP a message travels as one v1 wire frame, whose layout the ``FRAME_*``
+structs in ``messages.py`` define. One walker, ``_walk_frame``, reads a frame
+for both ``read_frame`` (off a socket) and ``decode_message`` (from bytes): it
+checks the header before any dims, and each payload's dims before it reads the
+entries they announce. Frames round-trip bit-exactly for finite matrices; bad
+magic, bad version, truncation or checksum mismatch reject the frame without
+state change. Delivery is FIFO per directed (sender, receiver) pair on both
+backends.
 """
 
 from __future__ import annotations
@@ -30,13 +22,10 @@ from collections import Counter
 
 import numpy as np
 
-from .messages import MAX_PAYLOADS, MessageKind, ProtocolMessage, Role
-
-MAGIC = b"MSBL"
-VERSION = 1
-_HEADER = struct.Struct(">4sB16sHBBBB")
-_DIMS = struct.Struct(">II")
-_CRC = struct.Struct(">I")
+from .messages import (
+    FRAME_CRC, FRAME_DIMS, FRAME_HEADER, MAGIC, MAX_PAYLOADS, VERSION, WIRE_FLOAT,
+    MessageKind, ProtocolMessage, Role,
+)
 
 # One TCP connection per pair of roles, as (dialer, listener): the server
 # listens for both clients, client A for client B, and clients only dial.
@@ -65,74 +54,66 @@ class TransportClosed(ConnectionError):
     """The channel was closed while sending or receiving."""
 
 
-def encode_message(msg: ProtocolMessage) -> bytes:
-    """Serialize a message into one self-delimiting frame."""
-    parts = [
-        _HEADER.pack(
-            MAGIC,
-            VERSION,
-            msg.session_id,
-            msg.seq,
-            int(msg.sender),
-            int(msg.receiver),
-            int(msg.kind),
-            len(msg.payloads),
-        )
-    ]
+def encode_message(msg: ProtocolMessage) -> bytearray:
+    """Serialize a message into one self-delimiting frame, writing each
+    payload's big-endian doubles once, straight into the frame buffer."""
+    frame = bytearray(msg.encoded_size)
+    FRAME_HEADER.pack_into(
+        frame, 0, MAGIC, VERSION, msg.session_id, msg.seq,
+        int(msg.sender), int(msg.receiver), int(msg.kind), len(msg.payloads),
+    )
+    offset = FRAME_HEADER.size
     for p in msg.payloads:
         if not np.all(np.isfinite(p)):
             raise FrameError("cannot encode non-finite payload")
-        parts.append(_DIMS.pack(p.shape[0], p.shape[1]))
-        parts.append(np.ascontiguousarray(p, dtype=np.float64).astype(">f8").tobytes())
-    body = b"".join(parts)
-    return body + _CRC.pack(zlib.crc32(body) & 0xFFFFFFFF)
+        FRAME_DIMS.pack_into(frame, offset, *p.shape)
+        offset += FRAME_DIMS.size
+        np.frombuffer(frame, WIRE_FLOAT, p.size, offset).reshape(p.shape)[...] = p
+        offset += p.size * WIRE_FLOAT.itemsize
+    FRAME_CRC.pack_into(frame, offset, zlib.crc32(memoryview(frame)[:offset]))
+    return frame
 
 
-def _check_header(header: bytes) -> list:
-    """Unpack a frame header; raises FrameError on bad magic, version or
-    payload count. Returns [session_id, seq, sender, receiver, kind, count]."""
-    magic, version, *fields = _HEADER.unpack(header)
+def _walk_frame(read) -> tuple[list, list, int]:
+    """Read one frame in wire order through ``read(n, what)``, which returns
+    the next n bytes or raises naming ``what`` as missing. The header is
+    checked before any dims are read, and each payload's dims before its
+    entries. Returns the header fields [session_id, seq, sender, receiver,
+    kind, count], the payloads as big-endian views and the frame's checksum."""
+    magic, version, *fields = FRAME_HEADER.unpack(read(FRAME_HEADER.size, "incomplete header"))
     if magic != MAGIC:
         raise FrameError(f"bad magic {magic!r}")
     if version != VERSION:
         raise FrameError(f"unsupported version {version}")
     if not 1 <= fields[-1] <= MAX_PAYLOADS:
         raise FrameError(f"payload count must be in 1..{MAX_PAYLOADS}, got {fields[-1]}")
-    return fields
-
-
-def _check_dims(dims: bytes) -> tuple[int, int]:
-    """Unpack one payload's (rows, cols); both must be positive."""
-    rows, cols = _DIMS.unpack(dims)
-    if rows < 1 or cols < 1:
-        raise FrameError(f"bad payload dims {rows}x{cols}")
-    return rows, cols
+    payloads = []
+    for _ in range(fields[-1]):
+        rows, cols = FRAME_DIMS.unpack(read(FRAME_DIMS.size, "incomplete payload dims"))
+        if rows < 1 or cols < 1:
+            raise FrameError(f"bad payload dims {rows}x{cols}")
+        entries = read(rows * cols * WIRE_FLOAT.itemsize, "incomplete payload entries")
+        payloads.append(np.frombuffer(entries, WIRE_FLOAT).reshape(rows, cols))
+    (crc,) = FRAME_CRC.unpack(read(FRAME_CRC.size, "missing checksum"))
+    return fields, payloads, crc
 
 
 def decode_message(data: bytes) -> ProtocolMessage:
     """Inverse of encode_message; raises FrameError on any malformed frame."""
-    if len(data) < _HEADER.size + _CRC.size:
-        raise FrameError("truncated frame: incomplete header")
-    session_id, seq, sender, receiver, kind, count = _check_header(data[: _HEADER.size])
-    offset = _HEADER.size
-    payloads = []
-    for _ in range(count):
-        if len(data) < offset + _DIMS.size:
-            raise FrameError("truncated frame: incomplete payload dims")
-        rows, cols = _check_dims(data[offset : offset + _DIMS.size])
-        offset += _DIMS.size
-        nbytes = rows * cols * 8
-        if len(data) < offset + nbytes:
-            raise FrameError("truncated frame: incomplete payload entries")
-        entries = np.frombuffer(data[offset : offset + nbytes], dtype=">f8")
-        payloads.append(entries.astype(np.float64).reshape(rows, cols))
-        offset += nbytes
-    if len(data) < offset + _CRC.size:
-        raise FrameError("truncated frame: missing checksum")
-    if len(data) > offset + _CRC.size:
+    view = memoryview(data)
+    end = 0
+
+    def read(n: int, what: str) -> memoryview:
+        nonlocal end
+        if len(view) < end + n:
+            raise FrameError(f"truncated frame: {what}")
+        end += n
+        return view[end - n : end]
+
+    (session_id, seq, sender, receiver, kind, _), payloads, crc = _walk_frame(read)
+    if len(view) > end:
         raise FrameError("trailing bytes after frame")
-    (crc,) = _CRC.unpack(data[offset : offset + _CRC.size])
-    if crc != zlib.crc32(data[:offset]) & 0xFFFFFFFF:
+    if crc != zlib.crc32(view[: end - FRAME_CRC.size]):
         raise FrameError("checksum mismatch")
     try:
         return ProtocolMessage(
@@ -141,7 +122,8 @@ def decode_message(data: bytes) -> ProtocolMessage:
             sender=Role(sender),
             receiver=Role(receiver),
             kind=MessageKind(kind),
-            payloads=tuple(payloads),
+            # Owned, writable native copies: a party zeroizes what it holds.
+            payloads=tuple(p.astype(np.float64) for p in payloads),
         )
     except ValueError as exc:
         raise FrameError(f"invalid message fields: {exc}") from exc
@@ -206,7 +188,7 @@ def make_bus_endpoints() -> dict[Role, Endpoint]:
     return {role: _BusEndpoint(role, queues, closed) for role in Role}
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
+def _recv_exact(sock: socket.socket, n: int) -> bytearray:
     buf = bytearray()
     while len(buf) < n:
         try:
@@ -218,21 +200,20 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
         if not chunk:
             raise TransportClosed("connection closed mid-frame")
         buf.extend(chunk)
-    return bytes(buf)
+    return buf
 
 
 def read_frame(sock: socket.socket) -> bytes:
-    """Read exactly one frame off a stream socket."""
-    header = _recv_exact(sock, _HEADER.size)
-    *_, count = _check_header(header)
-    body = bytearray(header)
-    for _ in range(count):
-        dims = _recv_exact(sock, _DIMS.size)
-        rows, cols = _check_dims(dims)
-        body.extend(dims)
-        body.extend(_recv_exact(sock, rows * cols * 8))
-    body.extend(_recv_exact(sock, _CRC.size))
-    return bytes(body)
+    """Read exactly one frame off a stream socket; a bad header or dims
+    raise FrameError before the bytes they announce are read."""
+    parts = []
+
+    def read(n: int, what: str) -> bytearray:
+        parts.append(_recv_exact(sock, n))
+        return parts[-1]
+
+    _walk_frame(read)
+    return b"".join(parts)
 
 
 class _TcpEndpoint(Endpoint):

@@ -473,3 +473,32 @@ class TestOutOfRangeValuesRejected:
         field = option[2:].replace("-", "_")
         assert result.output.startswith(f"error: {field} must be"), result.output
         assert f"got {shown}" in result.output
+
+
+class TestRangesCheckedWithoutAMaskedRun:
+    """The mask range and the ridge are checked for every run, so a non-finite
+    value never reaches the JSON report as Infinity or NaN."""
+
+    @staticmethod
+    def invoke(*args):
+        return CliRunner().invoke(
+            main,
+            ["--train-size", "300", "--test-size", "60", "--n", "2", "--dz", "4",
+             "--dh", "20", *args],
+        )
+
+    @pytest.mark.parametrize("baseline", ["nbls", "sbls"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0"])
+    def test_mask_range_rejected(self, baseline, value):
+        result = self.invoke("--baselines", baseline, "--mask-range", value)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.startswith("error: mask_range must be in"), result.output
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_ridge_rejected(self, value):
+        result = self.invoke("--baselines", "nbls", "--lambda", value)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.startswith("error: ridge must be"), result.output
+        assert f"got {value}" in result.output

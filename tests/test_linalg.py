@@ -164,3 +164,12 @@ def test_as_matrix_rejects_non_finite_and_wrong_rank():
         as_matrix(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.inf]]))
+
+
+@pytest.mark.parametrize("ridge", [np.inf, np.nan])
+def test_non_finite_ridge_rejected(ridge):
+    a = np.random.default_rng(0).standard_normal((4, 3))
+    with pytest.raises(ValueError, match="ridge must be positive and finite"):
+        ridge_solve(a, np.ones((4, 1)), ridge)
+    with pytest.raises(ValueError, match="ridge must be positive and finite"):
+        pseudoinverse(a, ridge)

@@ -1,0 +1,46 @@
+"""Smoke runs of the scripts under scripts/, so a renamed API breaks a test
+instead of the scripts alone."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from click.testing import CliRunner
+
+from msbls.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_reproduce_tables_prints_both_tables():
+    out = run_script("reproduce_tables.py", "--train-n", "300", "--test-n", "60").stdout
+    assert "Quantity imbalance (test accuracy)" in out
+    assert "Non-IID scenario (test accuracy)" in out
+    assert "protocol messages per session: 12" in out
+
+
+def test_idx_files_feed_the_cli(tmp_path):
+    run_script("make_idx_files.py", "--out-dir", str(tmp_path), "--train-n", "50", "--test-n", "10")
+    names = ["train-images-idx3-ubyte", "train-labels-idx1-ubyte",
+             "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    paths = [str(tmp_path / name) for name in names]
+    result = CliRunner().invoke(main, [
+        "--dataset", "mnist",
+        "--train-images", paths[0], "--train-labels", paths[1],
+        "--test-images", paths[2], "--test-labels", paths[3],
+        "--train-size", "50", "--test-size", "10", "--baselines", "nbls",
+    ])
+    assert result.exit_code == 0, result.output

@@ -258,3 +258,52 @@ class TestTcp:
                 make_tcp_endpoints()
             gc.collect()
         assert [str(w.message) for w in caught] == []
+
+
+class TestReadFrame:
+    """read_frame walks the frame off the socket: a bad header fails before
+    any further byte is read, and the bytes it returns are the encoded frame."""
+
+    @pytest.mark.parametrize("offset, value, error", [
+        (0, ord("X"), "magic"),
+        (26, 3, "payload count"),
+    ])
+    def test_bad_header_fails_at_once_and_keeps_the_socket(self, offset, value, error):
+        header = bytearray(encode_message(msg([np.ones((2, 2))]))[:27])  # the header alone
+        header[offset] = value
+        a, b = socket.socketpair()
+        with a, b:
+            # A walker that read past the header would time out here instead.
+            a.settimeout(2.0)
+            b.sendall(header)
+            with pytest.raises(FrameError, match=error):
+                transport.read_frame(a)
+            assert a.fileno() != -1
+            b.sendall(b"ok")
+            assert a.recv(2) == b"ok"
+
+    def test_peer_closing_mid_payload_closes_the_channel(self):
+        frame = encode_message(msg([np.ones((4, 4))]))
+        a, b = socket.socketpair()
+        with a:
+            a.settimeout(2.0)
+            with b:
+                b.sendall(frame[: len(frame) // 2])
+            with pytest.raises(TransportClosed, match="connection closed mid-frame"):
+                transport.read_frame(a)
+
+    def test_two_payload_frame_round_trips_through_a_socket(self):
+        rng = np.random.default_rng(5)
+        m = msg([rng.standard_normal((3, 4)), rng.standard_normal((2, 4))],
+                seq=2, sender=Role.SERVER, receiver=Role.CLIENT_B,
+                kind=MessageKind.KEY_MASKS)
+        frame = encode_message(m)
+        a, b = socket.socketpair()
+        with a, b:
+            a.settimeout(2.0)
+            b.sendall(frame)
+            raw = transport.read_frame(a)
+        assert raw == frame
+        for sent, got in zip(m.payloads, decode_message(raw).payloads):
+            assert got.flags.writeable and got.dtype == np.float64 and got.dtype.isnative
+            assert got.tobytes() == sent.tobytes()
