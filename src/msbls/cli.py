@@ -9,6 +9,7 @@ import click
 from .bls import BlsHyperParams
 from .datasets import SplitPlan
 from .experiment import ExperimentConfig, run_experiment, summary_table
+from .protocol import ProtocolAbort
 from .transport import LISTENERS
 
 
@@ -108,7 +109,7 @@ def main(dataset, train_images, train_labels, test_images, test_labels, data_dir
             out=out,
         )
         reports = run_experiment(config)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ProtocolAbort) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     for report in reports:

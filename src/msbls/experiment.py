@@ -13,6 +13,9 @@ comparable per seed:
                         own shard only; both are evaluated on the full test
                         set and reported alongside their mean.
 
+Each runner states only its feature map; ``_fit_and_evaluate`` maps the rows,
+fits the readout, scores both row sets and builds the report.
+
 Labels travel outside the feature-generation session: the trainer needs
 them, the protocol never carries them.
 """
@@ -22,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -150,89 +153,92 @@ def accuracy(predictions, labels) -> float:
     return float(np.mean(predictions == labels))
 
 
-def _config_echo(config: ExperimentConfig) -> dict:
-    return {
-        "hyper": asdict(config.hyper),
-        "split": config.split.describe(),
-        "transport": config.transport,
-        "mask_range": config.mask_range,
-        "zero_masks": config.zero_masks,
-    }
-
-
-def _split_pair(ds, plan, stream):
-    # Mix the plan's own seed into the derived stream seed so explicit plan
-    # seeds stay honored while per-run seeds still vary the partition.
-    seed = (stream.seed ^ (plan.seed * 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF
-    return split_dataset(ds, SplitPlan(mode=plan.mode, ratio_a=plan.ratio_a, seed=seed))
+def _seeded_split(seed: int, plan: SplitPlan, *datasets):
+    """The run's derived streams, then each dataset split into its two client
+    parts: the training rows by the ``split_train`` stream, the test rows by
+    ``split_test``."""
+    streams = derive_streams(seed, list(_STREAMS))
+    pairs = []
+    for ds, name in zip(datasets, ("split_train", "split_test")):
+        # Mix the plan's own seed into the derived stream seed so explicit plan
+        # seeds stay honored while per-run seeds still vary the partition.
+        mixed = (streams[name].seed ^ (plan.seed * 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF
+        pairs.append(split_dataset(ds, replace(plan, seed=mixed)))
+    return streams, *pairs
 
 
 def _session(config: ExperimentConfig, x_a, x_b, rngs: PartyRngs, keys=None):
-    """One protocol session on freshly opened endpoints, closed afterwards."""
+    """One protocol session on freshly opened endpoints, closed afterwards.
+    The result keeps the features, keys and transcript, not the parties."""
     if config.transport == "tcp":
         endpoints = make_tcp_endpoints(listen=config.listen)
     else:
         endpoints = make_bus_endpoints()
     try:
-        return run_protocol(
+        session = run_protocol(
             x_a, x_b, config.hyper, rngs, keys=keys, endpoints=endpoints,
             mask_range=config.mask_range, zero_masks=config.zero_masks,
         )
     finally:
         for ep in endpoints.values():
             ep.close()
+    # Every party's masks, blinded rows and inputs would otherwise outlive the run.
+    session.parties = {}
+    return session
 
 
-def _fit_and_evaluate(
-    baseline: str,
-    train: LabeledDataset,
-    config: ExperimentConfig,
-    seed: int,
-    started: float,
-    zn_train: np.ndarray,
-    train_labels: np.ndarray,
-    test_features,
-    test_labels: np.ndarray,
-    enh_stream: RngStream,
-    mix_key: np.ndarray,
-    wire=None,
-) -> RunResult:
-    """Fit the readout on ``zn_train``, score the train and test rows, and
-    build the run's report, model and result.
+def _fit_and_evaluate(baseline: str, dataset: str, config: ExperimentConfig, seed: int,
+                      features, train_rows: tuple, test_rows: tuple, enh_stream: RngStream,
+                      mix_key: np.ndarray | None = None, sessions=()) -> RunResult:
+    """Map the training rows, fit the readout, map and score the test rows,
+    and build the run's report, model and result.
 
-    ``started`` is the clock reading taken before the training features
-    were made; ``train_time_s`` stops after the fit, before
-    ``test_features()`` makes the test features. The report's message and
-    byte counts are those of ``wire``, the training session, if there is one.
+    ``features(*rows)`` maps ``train_rows`` or ``test_rows``, each a tuple of
+    datasets, to one feature block in row order; their labels are stacked
+    in the same order. ``train_time_s`` covers the training features and
+    the fit, not the test features. A masked map appends its protocol
+    sessions to ``sessions``; the first, the training session, holds the mix
+    key and gives the report its message and byte counts.
     """
     hyper = config.hyper
+    started = time.perf_counter()
+    zn_train = features(*train_rows)
+    train_labels = np.concatenate([part.labels for part in train_rows])
     enh_keys = bls.generate_enhancement_keys(hyper, enh_stream)
     hm = bls.enhancement_features(zn_train, enh_keys, hyper.activation)
     weights = bls.train_output_weights(
-        zn_train, hm, one_hot(train_labels, train.num_classes), hyper.ridge
+        zn_train, hm, one_hot(train_labels, train_rows[0].num_classes), hyper.ridge
     )
     train_pred = bls.predict_labels(np.hstack([zn_train, hm]), weights)
     train_time = time.perf_counter() - started
     del hm  # release the training enhancement block before the test rows are mapped
 
-    zn_test = test_features()
+    zn_test = features(*test_rows)
+    test_labels = np.concatenate([part.labels for part in test_rows])
     hm_test = bls.enhancement_features(zn_test, enh_keys, hyper.activation)
     test_pred = bls.predict_labels(np.hstack([zn_test, hm_test]), weights)
 
+    wire = sessions[0] if sessions else None
     report = MetricsReport(
         baseline=baseline,
         seed=seed,
-        dataset=train.name,
+        dataset=dataset,
         split=config.split.describe(),
         train_accuracy=accuracy(train_pred, train_labels),
         test_accuracy=accuracy(test_pred, test_labels),
         train_time_s=train_time,
         message_count=wire.message_count if wire else 0,
         bytes_on_wire=wire.bytes_on_wire if wire else 0,
-        config=_config_echo(config),
+        config={
+            "hyper": asdict(hyper),
+            "split": config.split.describe(),
+            "transport": config.transport,
+            "mask_range": config.mask_range,
+            "zero_masks": config.zero_masks,
+        },
     )
     model = bls.BlsModel(
-        mix_key=mix_key,
+        mix_key=wire.keys.mix_key if wire else mix_key,
         enhancement_keys=enh_keys,
         output_weights=weights,
         hyperparams=hyper,
@@ -246,113 +252,71 @@ def _fit_and_evaluate(
         test_predictions=test_pred,
         train_labels=train_labels,
         test_labels=test_labels,
+        train_sessions=tuple(sessions),
     )
 
 
 def run_msbls(train: LabeledDataset, test: LabeledDataset, config: ExperimentConfig, seed: int) -> RunResult:
     """Protocol-backed training and evaluation for one seed."""
-    streams = derive_streams(seed, list(_STREAMS))
-    train_a, train_b = _split_pair(train, config.split, streams["split_train"])
-    test_a, test_b = _split_pair(test, config.split, streams["split_test"])
+    streams, train_rows, test_rows = _seeded_split(seed, config.split, train, test)
+    sessions = []
 
-    t0 = time.perf_counter()
-    session_train = _session(
-        config,
-        train_a.x,
-        train_b.x,
-        PartyRngs(
-            mask=streams["masks_train"],
-            key_a=streams["key_a"],
-            key_b=streams["key_b"],
-            mix=streams["mix"],
-        ),
-    )
-    session_test = None
-
-    def test_features():
-        nonlocal session_test
-        session_test = _session(
-            config, test_a.x, test_b.x, PartyRngs(mask=streams["masks_test"]), keys=session_train.keys
+    def features(a, b):
+        # The training session's parties draw the keys from their streams;
+        # the test session reuses those keys under fresh masks.
+        rngs = PartyRngs(
+            streams["masks_test" if sessions else "masks_train"],
+            streams["key_a"], streams["key_b"], streams["mix"],
         )
-        return session_test.mapped_features
+        sessions.append(_session(config, a.x, b.x, rngs, sessions[0].keys if sessions else None))
+        return sessions[-1].mapped_features
 
-    result = _fit_and_evaluate(
-        "msbls", train, config, seed, t0,
-        zn_train=session_train.mapped_features,
-        train_labels=np.concatenate([train_a.labels, train_b.labels]),
-        test_features=test_features,
-        test_labels=np.concatenate([test_a.labels, test_b.labels]),
-        enh_stream=streams["enhancement"],
-        mix_key=session_train.keys.mix_key,
-        wire=session_train,
+    return _fit_and_evaluate(
+        "msbls", train.name, config, seed, features, train_rows, test_rows,
+        streams["enhancement"], sessions=sessions,
     )
-    result.train_sessions = (session_train, session_test)
-    return result
 
 
 def run_non_privacy(train: LabeledDataset, test: LabeledDataset, config: ExperimentConfig, seed: int) -> RunResult:
     """Directly pooled training with the same derived keys; no protocol."""
-    hyper = config.hyper
-    streams = derive_streams(seed, list(_STREAMS))
-    train_a, train_b = _split_pair(train, config.split, streams["split_train"])
-    test_a, test_b = _split_pair(test, config.split, streams["split_test"])
-
-    d = train.x.shape[1]
+    streams, train_rows, test_rows = _seeded_split(seed, config.split, train, test)
+    d, hyper = train.x.shape[1], config.hyper
     key_a = bls.generate_map_key_half(d, hyper, streams["key_a"])
     key_b = bls.generate_map_key_half(d, hyper, streams["key_b"])
     mix_key = bls.generate_mix_key(hyper, streams["mix"])
-
-    t0 = time.perf_counter()
-    zn_train = bls.joint_mapped_features(train_a.x, train_b.x, key_a, key_b, mix_key)
     return _fit_and_evaluate(
-        "nbls", train, config, seed, t0,
-        zn_train=zn_train,
-        train_labels=np.concatenate([train_a.labels, train_b.labels]),
-        test_features=lambda: bls.joint_mapped_features(test_a.x, test_b.x, key_a, key_b, mix_key),
-        test_labels=np.concatenate([test_a.labels, test_b.labels]),
-        enh_stream=streams["enhancement"],
-        mix_key=mix_key,
+        "nbls", train.name, config, seed,
+        lambda a, b: bls.joint_mapped_features(a.x, b.x, key_a, key_b, mix_key),
+        train_rows, test_rows, streams["enhancement"], mix_key,
     )
 
 
 def _run_own_model(shard: LabeledDataset, test: LabeledDataset, config: ExperimentConfig,
                    seed: int, stream: RngStream, tag: str) -> RunResult:
-    hyper = config.hyper
     sub = derive_streams(stream.seed, ["map", "mix", "enh"])
-    map_key = bls.generate_full_map_key(shard.x.shape[1], hyper, sub["map"])
-    mix_key = bls.generate_mix_key(hyper, sub["mix"])
-
-    t0 = time.perf_counter()
-    zn_train = bls.mapped_features_simplified(bls.augment(shard.x), map_key, mix_key)
+    map_key = bls.generate_full_map_key(shard.x.shape[1], config.hyper, sub["map"])
+    mix_key = bls.generate_mix_key(config.hyper, sub["mix"])
     return _fit_and_evaluate(
-        tag, shard, config, seed, t0,
-        zn_train=zn_train,
-        train_labels=shard.labels,
-        test_features=lambda: bls.mapped_features_simplified(bls.augment(test.x), map_key, mix_key),
-        test_labels=test.labels,
-        enh_stream=sub["enh"],
-        mix_key=mix_key,
+        tag, shard.name, config, seed,
+        lambda part: bls.mapped_features_simplified(bls.augment(part.x), map_key, mix_key),
+        (shard,), (test,), sub["enh"], mix_key,
     )
 
 
 def run_single_party(train: LabeledDataset, test: LabeledDataset, config: ExperimentConfig, seed: int) -> SinglePartyResult:
     """One independent model per client shard, both evaluated on the full
     test set; the headline number is their mean, both sides retained."""
-    streams = derive_streams(seed, list(_STREAMS))
-    train_a, train_b = _split_pair(train, config.split, streams["split_train"])
+    streams, (train_a, train_b) = _seeded_split(seed, config.split, train)
     result_a = _run_own_model(train_a, test, config, seed, streams["single_a"], "sbls_a")
     result_b = _run_own_model(train_b, test, config, seed, streams["single_b"], "sbls_b")
-    mean_report = MetricsReport(
+    a, b = result_a.report, result_b.report
+    mean_report = replace(
+        a,
         baseline="sbls",
-        seed=seed,
         dataset=train.name,
-        split=config.split.describe(),
-        train_accuracy=(result_a.report.train_accuracy + result_b.report.train_accuracy) / 2,
-        test_accuracy=(result_a.report.test_accuracy + result_b.report.test_accuracy) / 2,
-        train_time_s=result_a.report.train_time_s + result_b.report.train_time_s,
-        message_count=0,
-        bytes_on_wire=0,
-        config=_config_echo(config),
+        train_accuracy=(a.train_accuracy + b.train_accuracy) / 2,
+        test_accuracy=(a.test_accuracy + b.test_accuracy) / 2,
+        train_time_s=a.train_time_s + b.train_time_s,
     )
     return SinglePartyResult(client_a=result_a, client_b=result_b, mean_report=mean_report)
 

@@ -475,10 +475,11 @@ def run_protocol(
     streams in ``rngs``. ``endpoints`` defaults to the in-process bus; a TCP
     endpoint trio gives the identical result bit for bit. ``message_tap``,
     when set, sees every sent message (diagnostics only; the transcript
-    itself records metadata, never payloads).
+    itself records metadata, never payloads). ``timeout_s`` bounds every
+    receive; it defaults to MSBLS_TIMEOUT_MS (``transport.receive_timeout_s``).
     """
     session_id = new_session_id()
-    timeout = transport.DEFAULT_TIMEOUT_S if timeout_s is None else timeout_s
+    timeout = transport.receive_timeout_s(timeout_s)
 
     # The clients validate their own rows; the server takes its dimensions from them.
     client_a = ClientParty(

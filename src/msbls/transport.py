@@ -37,9 +37,25 @@ DIALS = (
 # The TCP roles that listen, and how many peers dial each.
 LISTENERS = Counter(listener for _, listener in DIALS)
 
-DEFAULT_TIMEOUT_S = float(os.environ.get("MSBLS_TIMEOUT_MS", "30000")) / 1000.0
 # Seconds any one TCP set-up step may wait: a dial, a hello or an accept.
 CONNECT_TIMEOUT_S = 10.0
+
+
+def receive_timeout_s(timeout_s: float | None = None) -> float:
+    """Seconds each receive may wait: ``timeout_s`` if given, else the
+    MSBLS_TIMEOUT_MS environment variable in milliseconds (30000 when unset).
+    Either must be positive and finite, and no longer than a lock can wait."""
+    name, value, scale = "timeout_s", timeout_s, 1.0
+    if timeout_s is None:
+        name, value, scale = "MSBLS_TIMEOUT_MS", os.environ.get("MSBLS_TIMEOUT_MS", "30000"), 1e3
+    try:
+        seconds = float(value) / scale
+    except (TypeError, ValueError):
+        seconds = 0.0  # unparsable: rejected below
+    if not 0 < seconds <= threading.TIMEOUT_MAX:
+        limit = threading.TIMEOUT_MAX * scale
+        raise ValueError(f"{name} must be in (0, {limit:.0f}], got {value!r}")
+    return seconds
 
 
 class FrameError(ValueError):
@@ -137,7 +153,7 @@ class Endpoint:
     def send(self, msg: ProtocolMessage) -> None:
         raise NotImplementedError
 
-    def recv(self, sender: Role, timeout: float | None = None) -> ProtocolMessage:
+    def recv(self, sender: Role, timeout: float) -> ProtocolMessage:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -157,9 +173,7 @@ class _BusEndpoint(Endpoint):
             raise ValueError(f"{self.role.name} endpoint cannot send as {msg.sender.name}")
         self._queues[(msg.sender, msg.receiver)].put(msg)
 
-    def recv(self, sender: Role, timeout: float | None = None) -> ProtocolMessage:
-        if timeout is None:
-            timeout = DEFAULT_TIMEOUT_S
+    def recv(self, sender: Role, timeout: float) -> ProtocolMessage:
         if self._closed.is_set():
             raise TransportClosed("bus is closed")
         try:
@@ -234,9 +248,9 @@ class _TcpEndpoint(Endpoint):
             except OSError as exc:
                 raise TransportClosed(f"send failed: {exc}") from exc
 
-    def recv(self, sender: Role, timeout: float | None = None) -> ProtocolMessage:
+    def recv(self, sender: Role, timeout: float) -> ProtocolMessage:
         sock = self._peers[sender]
-        sock.settimeout(DEFAULT_TIMEOUT_S if timeout is None else timeout)
+        sock.settimeout(timeout)
         msg = decode_message(read_frame(sock))
         if msg.sender != sender:
             raise FrameError(

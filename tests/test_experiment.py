@@ -1,12 +1,17 @@
+import gc
 import json
+import os
 import re
 import socket
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from msbls import datasets
+from msbls import datasets, experiment, protocol, transport
 from msbls.bls import (
     BlsHyperParams,
     augment,
@@ -94,6 +99,29 @@ class TestPairedRuns:
         second = run_msbls(train, test, cfg, seed=4)
         assert np.array_equal(first.model.output_weights, second.model.output_weights)
         assert first.report.test_accuracy == second.report.test_accuracy
+
+
+class TestFinishedRunKeepsNoPartyState:
+    def test_parties_die_while_the_result_is_held(self, small_desk_data, monkeypatch):
+        # Each party holds masks, blinded rows and its inputs; a finished run
+        # needs only the sessions' features, keys and transcripts.
+        train, test = small_desk_data
+        refs = []
+        run_protocol = experiment.run_protocol
+
+        def keep_refs(*args, **kwargs):
+            session = run_protocol(*args, **kwargs)
+            refs.extend(weakref.ref(party) for party in session.parties.values())
+            return session
+
+        monkeypatch.setattr(experiment, "run_protocol", keep_refs)
+        result = run_msbls(train, test, small_config(), seed=0)
+        gc.collect()
+        assert len(refs) == 6
+        assert [ref() for ref in refs] == [None] * 6
+        train_session, test_session = result.train_sessions
+        assert train_session.keys.mix_key is result.model.mix_key
+        assert len(train_session.transcript) == len(test_session.transcript) == 12
 
 
 class TestDeskTargets:
@@ -190,6 +218,17 @@ class TestSingleParty:
         assert sp.client_a.report.baseline == "sbls_a"
         assert sp.client_b.report.baseline == "sbls_b"
         assert sp.mean_report.baseline == "sbls"
+
+    def test_mean_report_own_fields(self, small_desk_data):
+        train, test = small_desk_data
+        sp = run_single_party(train, test, small_config(baselines=("sbls",)), seed=0)
+        a, b, mean = sp.client_a.report, sp.client_b.report, sp.mean_report
+        assert mean.dataset == train.name
+        assert a.dataset != train.name and b.dataset != train.name
+        assert mean.train_time_s == a.train_time_s + b.train_time_s
+        assert mean.train_accuracy == (a.train_accuracy + b.train_accuracy) / 2
+        assert (mean.message_count, mean.bytes_on_wire) == (0, 0)
+        assert (mean.seed, mean.split, mean.config) == (a.seed, a.split, a.config)
 
 
 class TestRunExperiment:
@@ -314,6 +353,72 @@ class TestCli:
             )
         assert result.exit_code == 1, result.output
         assert "error: tcp setup failed" in result.output
+
+    def test_protocol_abort_errors_cleanly(self, monkeypatch):
+        encode = transport.encode_message
+
+        def flip_a_byte_of_seq3(msg):
+            frame = bytearray(encode(msg))
+            if msg.seq == 3:
+                frame[len(frame) // 2] ^= 0xFF
+            return bytes(frame)
+
+        monkeypatch.setattr(transport, "encode_message", flip_a_byte_of_seq3)
+        result = CliRunner().invoke(
+            main,
+            [
+                "--train-size", "200", "--test-size", "50", "--n", "2", "--dz", "4",
+                "--dh", "20", "--baselines", "msbls", "--transport", "tcp",
+            ],
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == "error: CLIENT_B aborted at seq 3: FrameError: checksum mismatch\n"
+
+
+class TestTimeoutVariable:
+    """MSBLS_TIMEOUT_MS is read and checked once per session: a value that is
+    not a positive finite count of milliseconds ends a masked run with exit 1
+    before any party starts, and never breaks a run that does not read it."""
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "0", "nan", "inf"])
+    def test_bad_value_ends_a_masked_run_cleanly(self, value, monkeypatch):
+        started = []
+        monkeypatch.setattr(protocol, "_drive_party", lambda *args: started.append(args))
+        monkeypatch.setenv("MSBLS_TIMEOUT_MS", value)
+        result = CliRunner().invoke(
+            main,
+            [
+                "--train-size", "200", "--test-size", "50", "--n", "2", "--dz", "4",
+                "--dh", "20", "--baselines", "msbls",
+            ],
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.startswith("error: MSBLS_TIMEOUT_MS must be"), result.output
+        assert f"got {value!r}" in result.output
+        assert started == []
+
+    def test_help_ignores_the_value(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, MSBLS_TIMEOUT_MS="abc")
+        paths = [os.path.join(root, "src"), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+        proc = subprocess.run(
+            [sys.executable, "-m", "msbls.cli", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Usage:" in proc.stdout
+
+    def test_pooled_run_ignores_the_value(self, monkeypatch):
+        monkeypatch.setenv("MSBLS_TIMEOUT_MS", "abc")
+        result = CliRunner().invoke(
+            main,
+            ["--train-size", "200", "--test-size", "50", "--n", "2", "--dz", "4",
+             "--dh", "20", "--baselines", "nbls"],
+        )
+        assert result.exit_code == 0, result.output
 
 
 @pytest.fixture

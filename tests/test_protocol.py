@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from msbls import transport
+from msbls import protocol, transport
 from msbls.bls import BlsHyperParams, augment, mapped_features_simplified
 from msbls.linalg import RngStream, derive_streams, random_matrix
 from msbls.messages import MessageKind, ProtocolMessage, Role
@@ -499,6 +499,15 @@ class TestAbort:
                 np.ones((2, 2)), np.ones((2, 2)),
                 hyper, party_rngs(8), endpoints=endpoints, timeout_s=0.3,
             )
+
+    @pytest.mark.parametrize("timeout_s", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_bad_timeout_rejected_before_any_party_starts(self, timeout_s, monkeypatch):
+        started = []
+        monkeypatch.setattr(protocol, "_drive_party", lambda *args: started.append(args))
+        hyper = BlsHyperParams(map_groups=2, map_dim=4)
+        with pytest.raises(ValueError, match="^timeout_s must be in"):
+            run_once(np.ones((2, 2)), np.ones((2, 2)), hyper, timeout_s=timeout_s)
+        assert started == []
 
     def test_abort_releases_no_output_and_zeroizes_secrets(self):
         hyper = BlsHyperParams(map_groups=2, map_dim=4)

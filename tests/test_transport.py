@@ -20,6 +20,7 @@ from msbls.transport import (
     encode_message,
     make_bus_endpoints,
     make_tcp_endpoints,
+    receive_timeout_s,
 )
 
 SID = bytes(range(16))
@@ -178,6 +179,27 @@ class TestBus:
         endpoints = make_bus_endpoints()
         with pytest.raises(ValueError):
             endpoints[Role.SERVER].send(msg([np.ones((1, 1))]))  # sender CLIENT_A
+
+
+class TestReceiveTimeout:
+    def test_default_and_variable_in_milliseconds(self, monkeypatch):
+        monkeypatch.delenv("MSBLS_TIMEOUT_MS", raising=False)
+        assert receive_timeout_s() == 30.0
+        monkeypatch.setenv("MSBLS_TIMEOUT_MS", "250")
+        assert receive_timeout_s() == 0.25
+        assert receive_timeout_s(2.0) == 2.0  # an explicit value wins
+
+    @pytest.mark.parametrize("value", ["abc", "", "-5", "0", "nan", "inf", "1e20"])
+    def test_bad_variable_rejected(self, value, monkeypatch):
+        monkeypatch.setenv("MSBLS_TIMEOUT_MS", value)
+        with pytest.raises(ValueError, match=f"^MSBLS_TIMEOUT_MS must be in .*got {value!r}$"):
+            receive_timeout_s()
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf"), 1e12])
+    def test_bad_explicit_value_rejected(self, value, monkeypatch):
+        monkeypatch.setenv("MSBLS_TIMEOUT_MS", "250")
+        with pytest.raises(ValueError, match=f"^timeout_s must be in .*got {value!r}$"):
+            receive_timeout_s(value)
 
 
 class TestTcp:
