@@ -157,21 +157,28 @@ def enhancement_features(zn, keys, activation: str = "tanh") -> np.ndarray:
     """Activated random combinations of the mapped features.
 
     Each key is a (weights, bias_row) pair; outputs lie in (-1, 1) for tanh
-    and (0, 1) for sigmoid, up to float64 saturation at the bounds.
+    and (0, 1) for sigmoid, up to float64 saturation at the bounds. Each
+    group is computed in place in its column block of the one output array,
+    bit-identical to ``np.hstack([act(zn @ w + b) for w, b in keys])``.
     """
     zn = as_matrix(zn, "Zn")
     act = ACTIVATIONS[activation]
-    blocks = []
+    if not keys:
+        raise ValueError("at least one enhancement key is required")
+    out = np.empty((zn.shape[0], sum(weights.shape[1] for weights, _ in keys)))
+    end = 0
     for j, (weights, bias_row) in enumerate(keys):
         if weights.shape[0] != zn.shape[1]:
             raise ValueError(
                 f"enhancement key {j}: expects {weights.shape[0]} mapped features, "
                 f"got {zn.shape[1]}"
             )
-        blocks.append(act(zn @ weights + bias_row))
-    if not blocks:
-        raise ValueError("at least one enhancement key is required")
-    return np.hstack(blocks)
+        block = out[:, end : end + weights.shape[1]]
+        end += weights.shape[1]
+        np.matmul(zn, weights, out=block)
+        block += bias_row
+        act(block, out=block)
+    return out
 
 
 def generate_map_key_half(d: int, hyper: BlsHyperParams, rng: RngStream) -> np.ndarray:

@@ -22,6 +22,11 @@ FRAME_HEADER = struct.Struct(f">4sB{SESSION_ID_BYTES}sHBBBB")
 FRAME_DIMS = struct.Struct(">II")
 FRAME_CRC = struct.Struct(">I")
 WIRE_FLOAT = np.dtype(">f8")
+# The largest payload a frame may carry, in entry bytes (rows*cols*8). A
+# receiver allocates a payload's buffer from its declared dims, so dims over
+# this bound reject the frame before anything is read or allocated. A desk
+# payload is 31.4 MB; a 60000-row MNIST client block is 377 MB.
+MAX_PAYLOAD_BYTES = 2**30
 
 
 class Role(enum.IntEnum):

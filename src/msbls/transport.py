@@ -3,11 +3,15 @@
 Over TCP a message travels as one v1 wire frame, whose layout the ``FRAME_*``
 structs in ``messages.py`` define. One walker, ``_walk_frame``, reads a frame
 for both ``read_frame`` (off a socket) and ``decode_message`` (from bytes): it
-checks the header before any dims, and each payload's dims before it reads the
-entries they announce. Frames round-trip bit-exactly for finite matrices; bad
-magic, bad version, truncation or checksum mismatch reject the frame without
-state change. Delivery is FIFO per directed (sender, receiver) pair on both
-backends.
+checks the header before any dims, and each payload's dims, including the
+``MAX_PAYLOAD_BYTES`` bound, before it reads the entries they announce.
+``read_frame`` receives with ``recv_into`` straight into the one buffer it
+returns, sized from the declared dims, so a one-payload frame is allocated
+once and none of its payload bytes is copied on the way; the whole frame must
+arrive within the socket's timeout. Frames round-trip bit-exactly for finite
+matrices; bad magic, bad version, oversized dims, truncation or checksum
+mismatch reject the frame without state change. Delivery is FIFO per directed
+(sender, receiver) pair on both backends.
 """
 
 from __future__ import annotations
@@ -17,14 +21,15 @@ import queue
 import socket
 import struct
 import threading
+import time
 import zlib
 from collections import Counter
 
 import numpy as np
 
 from .messages import (
-    FRAME_CRC, FRAME_DIMS, FRAME_HEADER, MAGIC, MAX_PAYLOADS, VERSION, WIRE_FLOAT,
-    MessageKind, ProtocolMessage, Role,
+    FRAME_CRC, FRAME_DIMS, FRAME_HEADER, MAGIC, MAX_PAYLOAD_BYTES, MAX_PAYLOADS, VERSION,
+    WIRE_FLOAT, MessageKind, ProtocolMessage, Role,
 )
 
 # One TCP connection per pair of roles, as (dialer, listener): the server
@@ -42,9 +47,10 @@ CONNECT_TIMEOUT_S = 10.0
 
 
 def receive_timeout_s(timeout_s: float | None = None) -> float:
-    """Seconds each receive may wait: ``timeout_s`` if given, else the
-    MSBLS_TIMEOUT_MS environment variable in milliseconds (30000 when unset).
-    Either must be positive and finite, and no longer than a lock can wait."""
+    """Seconds each receive of a whole frame may take: ``timeout_s`` if given,
+    else the MSBLS_TIMEOUT_MS environment variable in milliseconds (30000
+    when unset). Either must be positive and finite, and no longer than a
+    lock can wait."""
     name, value, scale = "timeout_s", timeout_s, 1.0
     if timeout_s is None:
         name, value, scale = "MSBLS_TIMEOUT_MS", os.environ.get("MSBLS_TIMEOUT_MS", "30000"), 1e3
@@ -91,24 +97,33 @@ def encode_message(msg: ProtocolMessage) -> bytearray:
 
 
 def _walk_frame(read) -> tuple[list, list, int]:
-    """Read one frame in wire order through ``read(n, what)``, which returns
-    the next n bytes or raises naming ``what`` as missing. The header is
-    checked before any dims are read, and each payload's dims before its
-    entries. Returns the header fields [session_id, seq, sender, receiver,
-    kind, count], the payloads as big-endian views and the frame's checksum."""
-    magic, version, *fields = FRAME_HEADER.unpack(read(FRAME_HEADER.size, "incomplete header"))
+    """Read one frame in wire order through ``read(n, what, more=0)``, which
+    returns the next n bytes or raises naming ``what`` as missing; ``more``
+    is how many bytes the walker reads right after them, so that a buffering
+    reader can make room for those too. The header is checked before any
+    dims are read, and each payload's dims, within MAX_PAYLOAD_BYTES, before
+    its entries. Returns the header fields [session_id, seq, sender,
+    receiver, kind, count], the payloads as big-endian views and the frame's
+    checksum."""
+    header = read(FRAME_HEADER.size, "incomplete header", FRAME_DIMS.size)
+    magic, version, *fields = FRAME_HEADER.unpack(header)
     if magic != MAGIC:
         raise FrameError(f"bad magic {magic!r}")
     if version != VERSION:
         raise FrameError(f"unsupported version {version}")
-    if not 1 <= fields[-1] <= MAX_PAYLOADS:
-        raise FrameError(f"payload count must be in 1..{MAX_PAYLOADS}, got {fields[-1]}")
+    count = fields[-1]
+    if not 1 <= count <= MAX_PAYLOADS:
+        raise FrameError(f"payload count must be in 1..{MAX_PAYLOADS}, got {count}")
     payloads = []
-    for _ in range(fields[-1]):
+    for i in range(count):
         rows, cols = FRAME_DIMS.unpack(read(FRAME_DIMS.size, "incomplete payload dims"))
         if rows < 1 or cols < 1:
             raise FrameError(f"bad payload dims {rows}x{cols}")
-        entries = read(rows * cols * WIRE_FLOAT.itemsize, "incomplete payload entries")
+        size = rows * cols * WIRE_FLOAT.itemsize
+        if size > MAX_PAYLOAD_BYTES:
+            raise FrameError(f"payload dims {rows}x{cols} exceed {MAX_PAYLOAD_BYTES} bytes")
+        after = FRAME_DIMS.size if i + 1 < count else FRAME_CRC.size
+        entries = read(size, "incomplete payload entries", after)
         payloads.append(np.frombuffer(entries, WIRE_FLOAT).reshape(rows, cols))
     (crc,) = FRAME_CRC.unpack(read(FRAME_CRC.size, "missing checksum"))
     return fields, payloads, crc
@@ -119,7 +134,7 @@ def decode_message(data: bytes) -> ProtocolMessage:
     view = memoryview(data)
     end = 0
 
-    def read(n: int, what: str) -> memoryview:
+    def read(n: int, what: str, more: int = 0) -> memoryview:
         nonlocal end
         if len(view) < end + n:
             raise FrameError(f"truncated frame: {what}")
@@ -202,32 +217,62 @@ def make_bus_endpoints() -> dict[Role, Endpoint]:
     return {role: _BusEndpoint(role, queues, closed) for role in Role}
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytearray:
-    buf = bytearray()
-    while len(buf) < n:
-        try:
-            chunk = sock.recv(n - len(buf))
-        except socket.timeout as exc:
-            raise TransportTimeout(str(exc)) from exc
-        except OSError as exc:
-            raise TransportClosed(f"socket error: {exc}") from exc
-        if not chunk:
-            raise TransportClosed("connection closed mid-frame")
-        buf.extend(chunk)
-    return buf
+def _deadline(sock: socket.socket) -> float | None:
+    """The time.monotonic() by which a read starting now must end: the
+    socket's timeout from now, or None for a blocking socket."""
+    timeout = sock.gettimeout()
+    return None if timeout is None else time.monotonic() + timeout
 
 
-def read_frame(sock: socket.socket) -> bytes:
-    """Read exactly one frame off a stream socket; a bad header or dims
-    raise FrameError before the bytes they announce are read."""
-    parts = []
+def _recv_into(sock: socket.socket, view: memoryview, deadline: float | None) -> None:
+    """Fill ``view`` from ``sock``. Each wait gets only the time left before
+    ``deadline``; the socket's own timeout is restored afterwards."""
+    timeout = sock.gettimeout()
+    try:
+        while view:
+            if deadline is not None:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise TransportTimeout("frame not complete within the receive timeout")
+                sock.settimeout(left)
+            try:
+                got = sock.recv_into(view)
+            except socket.timeout as exc:
+                raise TransportTimeout(str(exc)) from exc
+            except OSError as exc:
+                raise TransportClosed(f"socket error: {exc}") from exc
+            if not got:
+                raise TransportClosed("connection closed mid-frame")
+            view = view[got:]
+    finally:
+        sock.settimeout(timeout)
 
-    def read(n: int, what: str) -> bytearray:
-        parts.append(_recv_exact(sock, n))
-        return parts[-1]
+
+def read_frame(sock: socket.socket) -> bytearray:
+    """Read exactly one frame off a stream socket and return its bytes; a bad
+    header or dims raise FrameError before the bytes they announce are read.
+
+    The frame lands in one buffer, which grows only when the walker announces
+    a payload: the header and dims are copied across then, and a payload's
+    entries are received in place with ``recv_into``. The whole frame must
+    arrive within the socket's timeout, counted from the call."""
+    deadline = _deadline(sock)
+    frame = bytearray()
+    end = 0
+
+    def read(n: int, what: str, more: int = 0) -> memoryview:
+        nonlocal frame, end
+        if end + n > len(frame):
+            grown = bytearray(end + n + more)
+            grown[:end] = memoryview(frame)[:end]
+            frame = grown
+        view = memoryview(frame)[end : end + n]
+        _recv_into(sock, view, deadline)
+        end += n
+        return view
 
     _walk_frame(read)
-    return b"".join(parts)
+    return frame
 
 
 class _TcpEndpoint(Endpoint):
@@ -278,7 +323,9 @@ def _hello(sock: socket.socket, role: Role) -> None:
 
 
 def _read_hello(sock: socket.socket) -> Role:
-    magic, version, role = _HELLO.unpack(_recv_exact(sock, _HELLO.size))
+    hello = bytearray(_HELLO.size)
+    _recv_into(sock, memoryview(hello), _deadline(sock))
+    magic, version, role = _HELLO.unpack(hello)
     if magic != MAGIC or version != VERSION:
         raise FrameError("bad connection hello")
     return Role(role)

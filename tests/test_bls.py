@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from msbls.bls import (
+    ACTIVATIONS,
     BlsHyperParams,
     augment,
     classic_mapped_features,
@@ -162,6 +163,18 @@ class TestEnhancement:
             "sigmoid",
         )
         assert np.all(out > 0.0) and np.all(out < 1.0)
+
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+    @pytest.mark.parametrize("groups, dim", [(1, 40), (3, 13)])
+    def test_in_place_blocks_match_stacked_reference_bit_for_bit(self, activation, groups, dim):
+        rng = np.random.default_rng(groups)
+        zn = rng.standard_normal((101, 9))
+        keys = [(rng.standard_normal((9, dim)), rng.uniform(-1, 1, (1, dim))) for _ in range(groups)]
+        act = ACTIVATIONS[activation]
+        reference = np.hstack([act(zn @ w + b) for w, b in keys])
+        out = enhancement_features(zn, keys, activation)
+        assert out.shape == (101, groups * dim)
+        assert out.tobytes() == reference.tobytes()
 
 
 class TestTrainPredict:

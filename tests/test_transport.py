@@ -2,6 +2,7 @@ import gc
 import socket
 import struct
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from msbls import transport
-from msbls.messages import MessageKind, ProtocolMessage, Role
+from msbls.messages import MAX_PAYLOAD_BYTES, MessageKind, ProtocolMessage, Role
 from msbls.transport import (
     FrameError,
     TransportClosed,
@@ -329,3 +330,71 @@ class TestReadFrame:
         for sent, got in zip(m.payloads, decode_message(raw).payloads):
             assert got.flags.writeable and got.dtype == np.float64 and got.dtype.isnative
             assert got.tobytes() == sent.tobytes()
+
+    @pytest.mark.parametrize("rows, cols", [
+        (2**32 - 1, 2**32 - 1),
+        (MAX_PAYLOAD_BYTES // 8 + 1, 1),  # one entry over the bound
+    ])
+    def test_oversized_dims_fail_at_once_with_no_entry_read(self, rows, cols):
+        head = bytes(encode_message(msg([np.ones((1, 1))]))[:27]) + struct.pack(">II", rows, cols)
+        entry = struct.pack(">d", 1.0)
+        a, b = socket.socketpair()
+        with a, b:
+            # A walker that allocated or read entries would time out here instead.
+            a.settimeout(2.0)
+            b.sendall(head + entry)
+            with pytest.raises(FrameError, match="exceed") as sock_error:
+                transport.read_frame(a)
+            assert a.recv(len(entry)) == entry
+        with pytest.raises(FrameError) as bytes_error:
+            decode_message(head)
+        assert str(bytes_error.value) == str(sock_error.value)
+
+    def test_dims_at_the_bound_pass_the_check(self):
+        head = bytes(encode_message(msg([np.ones((1, 1))]))[:27])
+        with pytest.raises(FrameError, match="incomplete payload entries"):
+            decode_message(head + struct.pack(">II", MAX_PAYLOAD_BYTES // 8, 1))
+
+    def test_dripping_peer_times_out_within_the_frame_deadline(self):
+        frame = encode_message(msg([[[1.0]]]))
+        a, b = socket.socketpair()
+        stop = threading.Event()
+
+        def drip():
+            for i in range(len(frame)):
+                if stop.wait(0.2):
+                    return
+                b.sendall(frame[i : i + 1])
+
+        dripper = threading.Thread(target=drip)
+        with a, b:
+            a.settimeout(0.3)
+            dripper.start()
+            try:
+                start = time.monotonic()
+                with pytest.raises(TransportTimeout):
+                    transport.read_frame(a)
+                elapsed = time.monotonic() - start
+            finally:
+                stop.set()
+                dripper.join()
+            assert a.gettimeout() == 0.3
+        assert elapsed < 2 * 0.3
+
+    def test_frame_larger_than_the_socket_buffers_arrives_whole(self):
+        rng = np.random.default_rng(6)
+        m = msg([rng.standard_normal((5000, 785))])
+        frame = encode_message(m)
+        a, b = socket.socketpair()
+        with a, b:
+            assert len(frame) > a.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+            a.settimeout(10.0)
+            sender = threading.Thread(target=b.sendall, args=(frame,))
+            sender.start()
+            try:
+                raw = transport.read_frame(a)
+            finally:
+                sender.join()
+        assert raw == frame
+        got = decode_message(raw).payloads[0]
+        assert got.tobytes() == m.payloads[0].tobytes()
