@@ -13,13 +13,14 @@ import argparse
 from pathlib import Path
 
 from msbls.datasets import desk_dataset, write_idx
+from msbls.experiment import ExperimentConfig
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="data")
-    parser.add_argument("--train-n", type=int, default=10000)
-    parser.add_argument("--test-n", type=int, default=2000)
+    parser.add_argument("--train-n", type=int, default=ExperimentConfig.train_size)
+    parser.add_argument("--test-n", type=int, default=ExperimentConfig.test_size)
     args = parser.parse_args()
 
     out = Path(args.out_dir)

@@ -28,9 +28,9 @@ RATIOS = (0.5, 0.4, 0.3, 0.2, 0.1, 0.05)
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--train-n", type=int, default=10000)
-    parser.add_argument("--test-n", type=int, default=2000)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--train-n", type=int, default=ExperimentConfig.train_size)
+    parser.add_argument("--test-n", type=int, default=ExperimentConfig.test_size)
+    parser.add_argument("--seed", type=int, default=BlsHyperParams.seed)
     args = parser.parse_args()
 
     train, test = desk_dataset(train_n=args.train_n, test_n=args.test_n)

@@ -6,7 +6,7 @@ import sys
 
 import click
 
-from .bls import BlsHyperParams
+from .bls import ACTIVATIONS, BlsHyperParams
 from .datasets import SplitPlan
 from .experiment import ExperimentConfig, run_experiment, summary_table
 from .protocol import ProtocolAbort
@@ -33,51 +33,51 @@ def _parse_role_addr(ctx, param, values):
 
 @click.command(context_settings={"help_option_names": ["-h", "--help"]})
 @click.option("--dataset", type=click.Choice(["mnist", "fashion", "synthetic"]),
-              default="synthetic", show_default=True,
+              default=ExperimentConfig.dataset, show_default=True,
               help="Named dataset; mnist/fashion expect IDX files, synthetic is generated.")
-@click.option("--train-images", type=click.Path(exists=True), default=None,
+@click.option("--train-images", type=click.Path(exists=True),
               help="IDX image file for training rows.")
-@click.option("--train-labels", type=click.Path(exists=True), default=None,
+@click.option("--train-labels", type=click.Path(exists=True),
               help="IDX label file for training rows.")
-@click.option("--test-images", type=click.Path(exists=True), default=None,
+@click.option("--test-images", type=click.Path(exists=True),
               help="IDX image file for test rows.")
-@click.option("--test-labels", type=click.Path(exists=True), default=None,
+@click.option("--test-labels", type=click.Path(exists=True),
               help="IDX label file for test rows.")
-@click.option("--data-dir", type=click.Path(), default=None,
+@click.option("--data-dir", type=click.Path(),
               help="Directory holding conventionally named IDX files.")
-@click.option("--train-size", type=int, default=10000, show_default=True,
+@click.option("--train-size", type=int, default=ExperimentConfig.train_size, show_default=True,
               help="Training rows, generated or drawn from the IDX files.")
-@click.option("--test-size", type=int, default=2000, show_default=True,
+@click.option("--test-size", type=int, default=ExperimentConfig.test_size, show_default=True,
               help="Test rows, generated or drawn from the IDX files.")
-@click.option("--split", "split_text", default="quantity:0.5", show_default=True,
+@click.option("--split", "split_text", default=SplitPlan().describe(), show_default=True,
               help="Client split: quantity:<ratio_a> or noniid.")
-@click.option("--n", type=int, default=10, show_default=True,
+@click.option("--n", type=int, default=BlsHyperParams.map_groups, show_default=True,
               help="Number of mapped-feature groups.")
-@click.option("--dz", type=int, default=10, show_default=True,
+@click.option("--dz", type=int, default=BlsHyperParams.map_dim, show_default=True,
               help="Dimension per mapped-feature group.")
-@click.option("--m", type=int, default=1, show_default=True,
+@click.option("--m", type=int, default=BlsHyperParams.enh_groups, show_default=True,
               help="Number of enhancement groups.")
-@click.option("--dh", type=int, default=1000, show_default=True,
+@click.option("--dh", type=int, default=BlsHyperParams.enh_dim, show_default=True,
               help="Dimension per enhancement group.")
-@click.option("--lambda", "ridge", type=float, default=1e-8, show_default=True,
-              help="Ridge regularizer for the readout solve.")
-@click.option("--activation", type=click.Choice(["tanh", "sigmoid"]), default="tanh",
-              show_default=True, help="Enhancement activation.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--reps", type=int, default=1, show_default=True,
+@click.option("--lambda", "ridge", type=float, default=BlsHyperParams.ridge,
+              show_default=True, help="Ridge regularizer for the readout solve.")
+@click.option("--activation", type=click.Choice(list(ACTIVATIONS)),
+              default=BlsHyperParams.activation, show_default=True, help="Enhancement activation.")
+@click.option("--seed", type=int, default=BlsHyperParams.seed, show_default=True)
+@click.option("--reps", type=int, default=ExperimentConfig.reps, show_default=True,
               help="Repetitions; run k uses seed+k.")
-@click.option("--baselines", default="msbls,nbls,sbls", show_default=True,
+@click.option("--baselines", default=",".join(ExperimentConfig.baselines), show_default=True,
               help="Comma-separated subset of msbls,nbls,sbls.")
-@click.option("--transport", type=click.Choice(["inproc", "tcp"]), default="inproc",
-              show_default=True, help="Message backend for the protocol sessions.")
+@click.option("--transport", type=click.Choice(["inproc", "tcp"]), show_default=True,
+              default=ExperimentConfig.transport, help="Message backend for the protocol sessions.")
 @click.option("--listen", multiple=True, callback=_parse_role_addr,
               help="ROLE=HOST:PORT listen address (tcp transport; repeatable).")
-@click.option("--mask-range", type=float, default=1e3, show_default=True,
+@click.option("--mask-range", type=float, default=ExperimentConfig.mask_range, show_default=True,
               help="Masks are drawn uniformly from (-range, range).")
 @click.option("--zero-masks", is_flag=True,
               help="Debug mode: disable masking (protocol output equals the "
                    "pooled pipeline bit for bit).")
-@click.option("--out", type=click.Path(), default=None,
+@click.option("--out", type=click.Path(),
               help="Write one JSON object per run to this file.")
 @click.option("--summary", "show_summary", is_flag=True, help="Print a comparison table.")
 def main(dataset, train_images, train_labels, test_images, test_labels, data_dir,

@@ -183,13 +183,8 @@ def split_non_iid(ds: LabeledDataset):
     if ds.num_classes < 2:
         raise ValueError("non-IID split needs at least two classes")
     counts = np.bincount(ds.labels, minlength=ds.num_classes)
-    rank = {
-        cls: r
-        for r, cls in enumerate(sorted(range(ds.num_classes), key=lambda c: (counts[c], c)))
-    }
-    order = np.array(
-        sorted(range(len(ds)), key=lambda i: (rank[int(ds.labels[i])], i)), dtype=np.int64
-    )
+    rank = np.argsort(np.argsort(counts, kind="stable"), kind="stable")
+    order = np.argsort(rank[ds.labels], kind="stable")
     n_a = int(np.ceil(len(ds) / 2))
     return ds.take(order[:n_a], f"{ds.name}/A"), ds.take(order[n_a:], f"{ds.name}/B")
 
@@ -279,11 +274,7 @@ def load_idx_subset(train_pair, test_pair, train_n: int, test_n: int):
     return tuple(out)
 
 
-def desk_dataset(
-    train_n: int = 10000,
-    test_n: int = 2000,
-    dataset_seed: int = DESK_DATASET_SEED,
-):
+def desk_dataset(train_n: int, test_n: int, dataset_seed: int = DESK_DATASET_SEED):
     """Desk-scale train/test pair: a real IDX subset when ``MSBLS_DATA_DIR``
     holds the files, otherwise the synthetic stand-in. Returns (train, test).
     """

@@ -97,15 +97,13 @@ def encode_message(msg: ProtocolMessage) -> bytearray:
 
 
 def _walk_frame(read) -> tuple[list, list, int]:
-    """Read one frame in wire order through ``read(n, what, more=0)``, which
-    returns the next n bytes or raises naming ``what`` as missing; ``more``
-    is how many bytes the walker reads right after them, so that a buffering
-    reader can make room for those too. The header is checked before any
-    dims are read, and each payload's dims, within MAX_PAYLOAD_BYTES, before
-    its entries. Returns the header fields [session_id, seq, sender,
-    receiver, kind, count], the payloads as big-endian views and the frame's
-    checksum."""
-    header = read(FRAME_HEADER.size, "incomplete header", FRAME_DIMS.size)
+    """Read one frame in wire order through ``read(n, what)``, which returns
+    the next n bytes or raises naming ``what`` as missing. The header is
+    checked before any dims are read, and each payload's dims, within
+    MAX_PAYLOAD_BYTES, before its entries. Returns the header fields
+    [session_id, seq, sender, receiver, kind, count], the payloads as
+    big-endian views and the frame's checksum."""
+    header = read(FRAME_HEADER.size, "incomplete header")
     magic, version, *fields = FRAME_HEADER.unpack(header)
     if magic != MAGIC:
         raise FrameError(f"bad magic {magic!r}")
@@ -115,15 +113,14 @@ def _walk_frame(read) -> tuple[list, list, int]:
     if not 1 <= count <= MAX_PAYLOADS:
         raise FrameError(f"payload count must be in 1..{MAX_PAYLOADS}, got {count}")
     payloads = []
-    for i in range(count):
+    for _ in range(count):
         rows, cols = FRAME_DIMS.unpack(read(FRAME_DIMS.size, "incomplete payload dims"))
         if rows < 1 or cols < 1:
             raise FrameError(f"bad payload dims {rows}x{cols}")
         size = rows * cols * WIRE_FLOAT.itemsize
         if size > MAX_PAYLOAD_BYTES:
             raise FrameError(f"payload dims {rows}x{cols} exceed {MAX_PAYLOAD_BYTES} bytes")
-        after = FRAME_DIMS.size if i + 1 < count else FRAME_CRC.size
-        entries = read(size, "incomplete payload entries", after)
+        entries = read(size, "incomplete payload entries")
         payloads.append(np.frombuffer(entries, WIRE_FLOAT).reshape(rows, cols))
     (crc,) = FRAME_CRC.unpack(read(FRAME_CRC.size, "missing checksum"))
     return fields, payloads, crc
@@ -134,7 +131,7 @@ def decode_message(data: bytes) -> ProtocolMessage:
     view = memoryview(data)
     end = 0
 
-    def read(n: int, what: str, more: int = 0) -> memoryview:
+    def read(n: int, what: str) -> memoryview:
         nonlocal end
         if len(view) < end + n:
             raise FrameError(f"truncated frame: {what}")
@@ -254,16 +251,17 @@ def read_frame(sock: socket.socket) -> bytearray:
 
     The frame lands in one buffer, which grows only when the walker announces
     a payload: the header and dims are copied across then, and a payload's
-    entries are received in place with ``recv_into``. The whole frame must
-    arrive within the socket's timeout, counted from the call."""
+    entries are received in place with ``recv_into``. Spare room left for
+    the next dims or checksum is trimmed in place at the end. The whole
+    frame must arrive within the socket's timeout, counted from the call."""
     deadline = _deadline(sock)
     frame = bytearray()
     end = 0
 
-    def read(n: int, what: str, more: int = 0) -> memoryview:
+    def read(n: int, what: str) -> memoryview:
         nonlocal frame, end
         if end + n > len(frame):
-            grown = bytearray(end + n + more)
+            grown = bytearray(end + n + FRAME_DIMS.size)
             grown[:end] = memoryview(frame)[:end]
             frame = grown
         view = memoryview(frame)[end : end + n]
@@ -272,6 +270,7 @@ def read_frame(sock: socket.socket) -> bytearray:
         return view
 
     _walk_frame(read)
+    del frame[end:]
     return frame
 
 
@@ -337,8 +336,9 @@ def make_tcp_endpoints(listen: dict[Role, tuple[str, int]] | None = None) -> dic
     The listening roles bind first; every dial then completes into its
     listener's backlog, so the accepts run afterwards on the calling thread.
     Passing ``listen`` pins explicit (host, port) pairs for the listening
-    roles; otherwise ephemeral loopback ports are used. A failure closes
-    every socket opened so far and raises TransportClosed.
+    roles; otherwise ephemeral loopback ports are used. Each accepted
+    connection's hello must name a role that dials that listener, once. A
+    failure closes every socket opened so far and raises TransportClosed.
     """
     listen = listen or {}
     listeners: dict[Role, socket.socket] = {}
@@ -360,7 +360,10 @@ def make_tcp_endpoints(listen: dict[Role, tuple[str, int]] | None = None) -> dic
             conn, _ = listeners[listener].accept()
             conns.append(conn)
             conn.settimeout(CONNECT_TIMEOUT_S)
-            peers[listener][_read_hello(conn)] = conn
+            dialer = _read_hello(conn)
+            if (dialer, listener) not in DIALS or dialer in peers[listener]:
+                raise FrameError(f"unexpected hello from {dialer.name} at {listener.name}")
+            peers[listener][dialer] = conn
         for sock in conns:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     except BaseException as exc:

@@ -171,6 +171,20 @@ class TestSplitNonIid:
         with pytest.raises(ValueError):
             split_non_iid(toy_dataset([0, 0, 0]))
 
+    @given(labels=st.lists(st.integers(0, 10), min_size=2, max_size=300))
+    def test_order_matches_the_sorted_reference(self, labels):
+        assume(max(labels) >= 1)
+        ds = toy_dataset(labels)
+        counts = np.bincount(ds.labels, minlength=ds.num_classes)
+        # Reference: classes by (count, index), then rows by (class rank, position).
+        rank = {c: r for r, c in enumerate(sorted(range(ds.num_classes),
+                                                  key=lambda c: (counts[c], c)))}
+        order = sorted(range(len(ds)), key=lambda i: (rank[labels[i]], i))
+        n_a = (len(ds) + 1) // 2
+        a, b = split_non_iid(ds)
+        assert np.array_equal(a.x, ds.x[order[:n_a]])
+        assert np.array_equal(b.x, ds.x[order[n_a:]])
+
 
 class TestOneHot:
     def test_identity_case(self):

@@ -1,6 +1,7 @@
 """Smoke runs of the scripts under scripts/, so a renamed API breaks a test
 instead of the scripts alone."""
 
+import json
 import os
 import subprocess
 import sys
@@ -44,3 +45,14 @@ def test_idx_files_feed_the_cli(tmp_path):
         "--train-size", "50", "--test-size", "10", "--baselines", "nbls",
     ])
     assert result.exit_code == 0, result.output
+
+
+def test_fingerprint_is_reproducible_and_consistent():
+    # A zero exit means bus and TCP features agree and zero-mask msbls equals nbls.
+    first = run_script("fingerprint.py", "--size", "smoke").stdout
+    assert run_script("fingerprint.py", "--size", "smoke").stdout == first
+    prints = json.loads(first)
+    assert sorted(prints["runners"]) == [
+        "msbls_bus", "msbls_tcp", "msbls_zero_masks", "nbls", "sbls",
+    ]
+    assert len(prints["combined"]) == 64

@@ -3,7 +3,9 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -145,6 +147,19 @@ class TestFrameCodec:
             ProtocolMessage(b"short", 1, Role.SERVER, Role.CLIENT_A,
                             MessageKind.DATA_MASK, (np.ones((1, 1)),))
 
+    @pytest.mark.parametrize("offset, value", [
+        (23, b"\x09"),  # sender: no such role
+        (25, b"\x09"),  # kind: no such kind
+        (21, b"\x00\x00"),  # seq 0
+        (24, b"\x01"),  # receiver equal to the sender, CLIENT_A
+    ])
+    def test_invalid_fields_behind_a_valid_checksum_rejected(self, offset, value):
+        raw = bytearray(encode_message(msg([[[1.0]]])))
+        raw[offset : offset + len(value)] = value
+        struct.pack_into(">I", raw, len(raw) - 4, zlib.crc32(raw[:-4]))
+        with pytest.raises(FrameError, match="invalid message fields: "):
+            decode_message(bytes(raw))
+
 
 class TestBus:
     def test_send_then_recv_returns_same_message(self):
@@ -282,6 +297,36 @@ class TestTcp:
             gc.collect()
         assert [str(w.message) for w in caught] == []
 
+    def test_hello_naming_a_role_twice_fails_setup_and_closes_every_socket(self, monkeypatch):
+        # Client B's dial to the server says it is client A; dials run in DIALS order.
+        real_hello, dials = transport._hello, iter(transport.DIALS)
+
+        def spoof(sock, role):
+            claim = Role.CLIENT_A if next(dials) == (Role.CLIENT_B, Role.SERVER) else role
+            real_hello(sock, claim)
+
+        monkeypatch.setattr(transport, "_hello", spoof)
+        baseline = threading.active_count()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TransportClosed, match="unexpected hello from CLIENT_A at SERVER"):
+                make_tcp_endpoints()
+            gc.collect()
+        assert [str(w.message) for w in caught] == []
+        assert threading.active_count() == baseline
+
+    def test_frame_claiming_another_sender_rejected(self):
+        endpoints = make_tcp_endpoints()
+        try:
+            forged = msg([[[1.0]]], seq=1, sender=Role.SERVER, receiver=Role.CLIENT_A,
+                         kind=MessageKind.DATA_MASK)
+            endpoints[Role.CLIENT_B]._peers[Role.CLIENT_A].sendall(encode_message(forged))
+            with pytest.raises(FrameError, match="CLIENT_B connection claims sender SERVER"):
+                endpoints[Role.CLIENT_A].recv(Role.CLIENT_B, timeout=5.0)
+        finally:
+            for ep in endpoints.values():
+                ep.close()
+
 
 class TestReadFrame:
     """read_frame walks the frame off the socket: a bad header fails before
@@ -398,3 +443,32 @@ class TestReadFrame:
         assert raw == frame
         got = decode_message(raw).payloads[0]
         assert got.tobytes() == m.payloads[0].tobytes()
+
+    def test_zero_row_dims_fail_at_once_and_keep_the_socket(self):
+        head = bytes(encode_message(msg([np.ones((1, 1))]))[:27]) + struct.pack(">II", 0, 1)
+        a, b = socket.socketpair()
+        with a, b:
+            # A walker that read past the dims would time out here instead.
+            a.settimeout(2.0)
+            b.sendall(head)
+            with pytest.raises(FrameError, match="bad payload dims 0x1"):
+                transport.read_frame(a)
+            b.sendall(b"ok")
+            assert a.recv(2) == b"ok"
+
+    def test_large_frame_is_allocated_once(self):
+        frame = encode_message(msg([np.random.default_rng(7).standard_normal((5000, 785))]))
+        a, b = socket.socketpair()
+        with a, b:
+            a.settimeout(10.0)
+            sender = threading.Thread(target=b.sendall, args=(frame,))
+            tracemalloc.start()
+            try:
+                sender.start()
+                raw = transport.read_frame(a)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+                sender.join()
+        assert raw == frame
+        assert peak <= 1.01 * len(frame)
