@@ -137,20 +137,35 @@ def mapped_features_simplified(x_aug, map_key, mix_key) -> np.ndarray:
     return (x_aug @ map_key) @ mix_key
 
 
+def assemble_mapped_features(own_a, cross_ab, cross_ba, own_b, mix_key) -> np.ndarray:
+    """Tile the four blocks (A rows above B rows) and apply the mix key."""
+    if own_a.shape[0] != cross_ab.shape[0] or own_b.shape[0] != cross_ba.shape[0]:
+        raise ValueError("block row counts do not tile")
+    if len({own_a.shape[1], cross_ab.shape[1], cross_ba.shape[1], own_b.shape[1]}) != 1:
+        raise ValueError("block column counts do not tile")
+    block = np.block([[own_a, cross_ab], [cross_ba, own_b]])
+    # Python 3.11+ hands call arguments to the callee, so this frees a caller's
+    # temporary blocks before the mix product allocates its result.
+    del own_a, cross_ab, cross_ba, own_b
+    if block.shape[1] != mix_key.shape[0]:
+        raise ValueError(
+            f"assembled width {block.shape[1]} does not match mix key {mix_key.shape}"
+        )
+    return block @ mix_key
+
+
 def joint_mapped_features(x_a, x_b, key_a, key_b, mix_key) -> np.ndarray:
     """Blockwise mapped features for two stacked inputs and a split key.
 
-    Computes the four per-client blocks separately and mixes the assembled
-    result, which is the exact arithmetic performed by the interactive
+    Computes the four per-client blocks separately and tiles and mixes them
+    with ``assemble_mapped_features``, the server's step in the interactive
     protocol; with masking disabled the two agree bit for bit.
     """
     xa_aug = augment(x_a)
     xb_aug = augment(x_b)
-    block = np.block([
-        [xa_aug @ key_a, xa_aug @ key_b],
-        [xb_aug @ key_a, xb_aug @ key_b],
-    ])
-    return block @ mix_key
+    return assemble_mapped_features(
+        xa_aug @ key_a, xa_aug @ key_b, xb_aug @ key_a, xb_aug @ key_b, mix_key
+    )
 
 
 def enhancement_features(zn, keys, activation: str = "tanh") -> np.ndarray:

@@ -52,6 +52,12 @@ _STREAMS = (
     "single_b",
 )
 
+# The run grid's choice lists: ExperimentConfig checks against them and the
+# CLI offers them. The generated dataset and the socket transport come last.
+DATASETS = ("mnist", "fashion", "synthetic")
+TRANSPORTS = ("inproc", "tcp")
+BASELINES = ("msbls", "nbls", "sbls")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -67,16 +73,19 @@ class ExperimentConfig:
     hyper: bls.BlsHyperParams = field(default_factory=bls.BlsHyperParams)
     transport: str = "inproc"
     listen: dict | None = None
-    baselines: tuple = ("msbls", "nbls", "sbls")
+    baselines: tuple = BASELINES
     reps: int = 1
     mask_range: float = DEFAULT_MASK_RANGE
     zero_masks: bool = False
     out: str | None = None
 
     def __post_init__(self):
+        for name, choices in (("dataset", DATASETS), ("transport", TRANSPORTS)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         if not self.baselines:
             raise ValueError("at least one baseline must be selected")
-        unknown = set(self.baselines) - {"msbls", "nbls", "sbls"}
+        unknown = set(self.baselines) - set(BASELINES)
         if unknown:
             raise ValueError(f"unknown baselines: {sorted(unknown)}")
         if self.reps < 1:
@@ -87,8 +96,6 @@ class ExperimentConfig:
             for name in ("train_size", "test_size"):
                 if getattr(self, name) < 1:
                     raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.transport not in ("inproc", "tcp"):
-            raise ValueError(f"unknown transport {self.transport!r}")
         if self.listen and self.transport != "tcp":
             raise ValueError("listen addresses need the tcp transport")
         paths = (self.train_images, self.train_labels, self.test_images, self.test_labels)

@@ -36,7 +36,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import transport
-from .bls import BlsHyperParams, augment, generate_map_key_half, generate_mix_key
+from .bls import (
+    BlsHyperParams, assemble_mapped_features, augment, generate_map_key_half, generate_mix_key,
+)
 from .linalg import RngStream, as_matrix
 from .messages import SCHEDULE, ProtocolMessage, Role, new_session_id
 
@@ -120,20 +122,6 @@ def unblind_cross(masked_cross, blinded_key, data_mask) -> np.ndarray:
 def recover_cross_product(partial, masks: MaskSet) -> np.ndarray:
     """Server's step: remove the remaining mask terms, leaving data @ key."""
     return partial - masks.cross_mask + masks.data_mask @ masks.key_mask
-
-
-def assemble_mapped_features(own_a, cross_ab, cross_ba, own_b, mix_key) -> np.ndarray:
-    """Tile the four blocks (A rows above B rows) and apply the mix key."""
-    if own_a.shape[0] != cross_ab.shape[0] or own_b.shape[0] != cross_ba.shape[0]:
-        raise ValueError("block row counts do not tile")
-    if len({own_a.shape[1], cross_ab.shape[1], cross_ba.shape[1], own_b.shape[1]}) != 1:
-        raise ValueError("block column counts do not tile")
-    block = np.block([[own_a, cross_ab], [cross_ba, own_b]])
-    if block.shape[1] != mix_key.shape[0]:
-        raise ValueError(
-            f"assembled width {block.shape[1]} does not match mix key {mix_key.shape}"
-        )
-    return block @ mix_key
 
 
 class Party:

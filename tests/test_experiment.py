@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -607,3 +608,48 @@ class TestRangesCheckedWithoutAMaskedRun:
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.output.startswith("error: ridge must be"), result.output
         assert f"got {value}" in result.output
+
+
+class TestChoiceLists:
+    """The library owns the dataset, transport and baseline lists; the config
+    checks them and the CLI offers exactly them."""
+
+    def test_unknown_dataset_rejected(self):
+        with pytest.raises(ValueError, match="unknown dataset 'foo'"):
+            ExperimentConfig(dataset="foo")
+
+    def test_help_offers_the_library_lists(self):
+        result = CliRunner().invoke(main, ["--help"])
+        assert result.exit_code == 0, result.output
+        assert f"[{'|'.join(experiment.DATASETS)}]" in result.output
+        assert f"[{'|'.join(experiment.TRANSPORTS)}]" in result.output
+
+    def test_options_are_the_config_fields(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"hyper"}
+        fields |= {f.name for f in dataclasses.fields(BlsHyperParams)}
+        assert {p.name for p in main.params} == fields | {"show_summary"}
+
+
+class TestSetupErrorsEndCleanly:
+    def test_failed_readout_solve_errors_cleanly(self):
+        # A mapped width (800) above the augmented input width (785) leaves the
+        # Gram matrix singular at the default ridge.
+        result = CliRunner().invoke(
+            main,
+            ["--train-size", "1000", "--test-size", "50", "--n", "80", "--dz", "10",
+             "--dh", "10", "--baselines", "nbls"],
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.startswith("error: positive-definite factorization failed"), result.output
+        assert "Traceback" not in result.output
+
+    def test_listen_port_out_of_range_is_a_usage_error(self):
+        result = CliRunner().invoke(
+            main,
+            ["--train-size", "200", "--test-size", "50", "--n", "2", "--dz", "4", "--dh", "20",
+             "--baselines", "msbls", "--transport", "tcp", "--listen", "server=127.0.0.1:70000"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "Usage:" in result.output
+        assert "'server=127.0.0.1:70000'" in result.output
