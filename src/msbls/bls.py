@@ -41,6 +41,8 @@ class BlsHyperParams:
         for name in ("map_groups", "map_dim", "enh_groups", "enh_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         check_ridge(self.ridge)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}")

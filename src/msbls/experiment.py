@@ -88,6 +88,9 @@ class ExperimentConfig:
         unknown = set(self.baselines) - set(BASELINES)
         if unknown:
             raise ValueError(f"unknown baselines: {sorted(unknown)}")
+        repeated = sorted({b for b in self.baselines if self.baselines.count(b) > 1})
+        if repeated:
+            raise ValueError(f"repeated baselines: {repeated}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         check_mask_range(self.mask_range)
@@ -174,26 +177,6 @@ def _seeded_split(seed: int, plan: SplitPlan, *datasets):
     return streams, *pairs
 
 
-def _session(config: ExperimentConfig, x_a, x_b, rngs: PartyRngs, keys=None):
-    """One protocol session on freshly opened endpoints, closed afterwards.
-    The result keeps the features, keys and transcript, not the parties."""
-    if config.transport == "tcp":
-        endpoints = make_tcp_endpoints(listen=config.listen)
-    else:
-        endpoints = make_bus_endpoints()
-    try:
-        session = run_protocol(
-            x_a, x_b, config.hyper, rngs, keys=keys, endpoints=endpoints,
-            mask_range=config.mask_range, zero_masks=config.zero_masks,
-        )
-    finally:
-        for ep in endpoints.values():
-            ep.close()
-    # Every party's masks, blinded rows and inputs would otherwise outlive the run.
-    session.parties = {}
-    return session
-
-
 def _fit_and_evaluate(baseline: str, dataset: str, config: ExperimentConfig, seed: int,
                       features, train_rows: tuple, test_rows: tuple, enh_stream: RngStream,
                       mix_key: np.ndarray | None = None, sessions=()) -> RunResult:
@@ -264,8 +247,13 @@ def _fit_and_evaluate(baseline: str, dataset: str, config: ExperimentConfig, see
 
 
 def run_msbls(train: LabeledDataset, test: LabeledDataset, config: ExperimentConfig, seed: int) -> RunResult:
-    """Protocol-backed training and evaluation for one seed."""
+    """Protocol-backed training and evaluation for one seed. Both sessions run
+    on one endpoint trio, closed when the run returns or raises."""
     streams, train_rows, test_rows = _seeded_split(seed, config.split, train, test)
+    if config.transport == "tcp":
+        endpoints = make_tcp_endpoints(listen=config.listen)
+    else:
+        endpoints = make_bus_endpoints()
     sessions = []
 
     def features(a, b):
@@ -275,13 +263,23 @@ def run_msbls(train: LabeledDataset, test: LabeledDataset, config: ExperimentCon
             streams["masks_test" if sessions else "masks_train"],
             streams["key_a"], streams["key_b"], streams["mix"],
         )
-        sessions.append(_session(config, a.x, b.x, rngs, sessions[0].keys if sessions else None))
-        return sessions[-1].mapped_features
+        session = run_protocol(
+            a.x, b.x, config.hyper, rngs, keys=sessions[0].keys if sessions else None,
+            endpoints=endpoints, mask_range=config.mask_range, zero_masks=config.zero_masks,
+        )
+        # Every party's masks, blinded rows and inputs would otherwise outlive the run.
+        session.parties = {}
+        sessions.append(session)
+        return session.mapped_features
 
-    return _fit_and_evaluate(
-        "msbls", train.name, config, seed, features, train_rows, test_rows,
-        streams["enhancement"], sessions=sessions,
-    )
+    try:
+        return _fit_and_evaluate(
+            "msbls", train.name, config, seed, features, train_rows, test_rows,
+            streams["enhancement"], sessions=sessions,
+        )
+    finally:
+        for ep in endpoints.values():
+            ep.close()
 
 
 def run_non_privacy(train: LabeledDataset, test: LabeledDataset, config: ExperimentConfig, seed: int) -> RunResult:

@@ -653,3 +653,106 @@ class TestSetupErrorsEndCleanly:
         assert result.exit_code == 2, result.output
         assert "Usage:" in result.output
         assert "'server=127.0.0.1:70000'" in result.output
+
+
+TRANSPORT_FACTORIES = [("inproc", "make_bus_endpoints"), ("tcp", "make_tcp_endpoints")]
+
+
+class TestOneTrioPerRun:
+    """Both sessions of a masked run share one endpoint trio, and every
+    endpoint of it is closed when the run returns or raises."""
+
+    @staticmethod
+    def spy(monkeypatch, factory_name):
+        made, closed = [], []
+        factory = getattr(experiment, factory_name)
+
+        def spy_factory(*args, **kwargs):
+            endpoints = factory(*args, **kwargs)
+            for ep in endpoints.values():
+                def counted_close(ep=ep, close=ep.close):
+                    closed.append(ep)
+                    close()
+                ep.close = counted_close
+            made.append(endpoints)
+            return endpoints
+
+        monkeypatch.setattr(experiment, factory_name, spy_factory)
+        return made, closed
+
+    @staticmethod
+    def assert_all_closed(made, closed):
+        assert len(made) == 1
+        assert all(ep in closed for ep in made[0].values())
+
+    @pytest.mark.parametrize("transport_name, factory_name", TRANSPORT_FACTORIES)
+    def test_one_trio_closed_on_return(self, small_desk_data, monkeypatch,
+                                       transport_name, factory_name):
+        train, test = small_desk_data
+        made, closed = self.spy(monkeypatch, factory_name)
+        result = run_msbls(train, test, small_config(transport=transport_name), seed=0)
+        assert len(result.train_sessions) == 2
+        self.assert_all_closed(made, closed)
+
+    @pytest.mark.parametrize("transport_name, factory_name", TRANSPORT_FACTORIES)
+    def test_abort_in_the_test_session_closes_the_trio(self, small_desk_data, monkeypatch,
+                                                       transport_name, factory_name):
+        train, test = small_desk_data
+        made, closed = self.spy(monkeypatch, factory_name)
+        run_protocol = experiment.run_protocol
+        calls = []
+
+        def abort_the_second(*args, **kwargs):
+            calls.append(kwargs["endpoints"])
+            if len(calls) == 2:
+                raise protocol.ProtocolAbort(protocol.Role.SERVER, 1, "injected")
+            return run_protocol(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_protocol", abort_the_second)
+        with pytest.raises(protocol.ProtocolAbort, match="injected"):
+            run_msbls(train, test, small_config(transport=transport_name), seed=0)
+        assert len(calls) == 2 and calls[0] is calls[1] is made[0]
+        self.assert_all_closed(made, closed)
+
+
+class TestReadoutAppliesTheModel:
+    """Test-row predictions are the stored model's stacked readout bit for
+    bit, and the reported test accuracy recounts them."""
+
+    @pytest.mark.parametrize("runner", [
+        run_msbls,
+        run_non_privacy,
+        lambda *args: run_single_party(*args).client_a,
+    ], ids=["msbls", "nbls", "sbls_a"])
+    def test_predictions_recomputed_from_the_model(self, small_desk_data, runner):
+        train, test = small_desk_data
+        result = runner(train, test, small_config(), 0)
+        model = result.model
+        hm = enhancement_features(
+            result.test_mapped, model.enhancement_keys, model.hyperparams.activation
+        )
+        expected = predict_labels(np.hstack([result.test_mapped, hm]), model.output_weights)
+        assert np.array_equal(result.test_predictions, expected)
+        assert result.report.test_accuracy == accuracy(expected, result.test_labels)
+
+
+class TestRepeatedBaselineAndNegativeSeedRejected:
+    """Both end with exit 1 and an error naming the value, before any data is built."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["--baselines", "nbls,nbls"], "error: repeated baselines: ['nbls']\n"),
+        (["--baselines", "nbls", "--seed", "-1"], "error: seed must be >= 0, got -1\n"),
+    ], ids=["repeated-baseline", "negative-seed"])
+    def test_rejected_before_any_data(self, monkeypatch, args, message):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data was built")
+
+        monkeypatch.setattr(experiment, "synthetic_desk_dataset", no_data)
+        result = CliRunner().invoke(
+            main,
+            ["--train-size", "200", "--test-size", "50", "--n", "2", "--dz", "4",
+             "--dh", "20", *args],
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == message
