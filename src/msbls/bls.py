@@ -127,32 +127,19 @@ def mapped_features_simplified(x_aug, map_key, mix_key) -> np.ndarray:
     x_aug = as_matrix(x_aug, "X_aug")
     map_key = as_matrix(map_key, "map_key")
     mix_key = as_matrix(mix_key, "mix_key")
-    if x_aug.shape[1] != map_key.shape[0]:
-        raise ValueError(
-            f"X_aug has {x_aug.shape[1]} columns, map_key expects {map_key.shape[0]}"
-        )
-    if map_key.shape[1] != mix_key.shape[0]:
-        raise ValueError(
-            f"map_key produces {map_key.shape[1]} features, "
-            f"mix_key expects {mix_key.shape[0]}"
-        )
     return (x_aug @ map_key) @ mix_key
 
 
 def assemble_mapped_features(own_a, cross_ab, cross_ba, own_b, mix_key) -> np.ndarray:
     """Tile the four blocks (A rows above B rows) and apply the mix key."""
-    if own_a.shape[0] != cross_ab.shape[0] or own_b.shape[0] != cross_ba.shape[0]:
-        raise ValueError("block row counts do not tile")
+    # np.block and the product reject the other mismatches; uneven columns
+    # would tile silently.
     if len({own_a.shape[1], cross_ab.shape[1], cross_ba.shape[1], own_b.shape[1]}) != 1:
         raise ValueError("block column counts do not tile")
     block = np.block([[own_a, cross_ab], [cross_ba, own_b]])
     # Python 3.11+ hands call arguments to the callee, so this frees a caller's
     # temporary blocks before the mix product allocates its result.
     del own_a, cross_ab, cross_ba, own_b
-    if block.shape[1] != mix_key.shape[0]:
-        raise ValueError(
-            f"assembled width {block.shape[1]} does not match mix key {mix_key.shape}"
-        )
     return block @ mix_key
 
 
@@ -184,12 +171,7 @@ def enhancement_features(zn, keys, activation: str = "tanh") -> np.ndarray:
         raise ValueError("at least one enhancement key is required")
     out = np.empty((zn.shape[0], sum(weights.shape[1] for weights, _ in keys)))
     end = 0
-    for j, (weights, bias_row) in enumerate(keys):
-        if weights.shape[0] != zn.shape[1]:
-            raise ValueError(
-                f"enhancement key {j}: expects {weights.shape[0]} mapped features, "
-                f"got {zn.shape[1]}"
-            )
+    for weights, bias_row in keys:
         block = out[:, end : end + weights.shape[1]]
         end += weights.shape[1]
         np.matmul(zn, weights, out=block)
@@ -225,8 +207,6 @@ def generate_enhancement_keys(hyper: BlsHyperParams, rng: RngStream):
 def train_output_weights(zn, hm, y_onehot, ridge: float) -> np.ndarray:
     """Ridge-solve the readout on the concatenated feature matrix [Zn | Hm];
     ``ridge_solve`` validates the stack."""
-    if len(zn) != len(hm):
-        raise ValueError(f"row mismatch: Zn has {len(zn)} rows, Hm has {len(hm)}")
     return ridge_solve(np.hstack([zn, hm]), y_onehot, ridge)
 
 
@@ -234,10 +214,4 @@ def predict_labels(features, output_weights) -> np.ndarray:
     """Row-wise argmax of the linear readout; ties go to the lowest class."""
     features = as_matrix(features, "features")
     output_weights = as_matrix(output_weights, "output_weights")
-    if features.shape[1] != output_weights.shape[0]:
-        raise ValueError(
-            f"features have width {features.shape[1]}, "
-            f"output weights expect {output_weights.shape[0]}"
-        )
-    scores = features @ output_weights
-    return np.argmax(scores, axis=1)
+    return np.argmax(features @ output_weights, axis=1)

@@ -9,6 +9,7 @@ experiments stay runnable offline.
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -96,8 +97,14 @@ class SplitPlan:
         text = text.strip().lower()
         if text in ("noniid", "non_iid", "non-iid"):
             return SplitPlan(mode="non_iid")
-        if text.startswith("quantity:"):
-            return SplitPlan(mode="quantity", ratio_a=float(text.split(":", 1)[1]))
+        mode, _, ratio = text.partition(":")
+        if mode == "quantity":
+            try:
+                ratio_a = float(ratio)
+            except ValueError:
+                pass
+            else:
+                return SplitPlan(mode="quantity", ratio_a=ratio_a)
         raise ValueError(f"cannot parse split plan {text!r}")
 
 
@@ -109,11 +116,25 @@ def _open_maybe_gzip(path):
     return open(path, "rb")
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise ValueError(f"truncated IDX file: expected {n} bytes of {what}")
-    return data
+def _read_idx(path, magic: int, what: str, body: str):
+    """(dims, uint8 body) of one IDX file. The file is read whole before its
+    header is trusted, so a header that claims more than the file holds
+    never sizes a read."""
+    with _open_maybe_gzip(path) as f:
+        raw = f.read()
+    ndim = magic & 0xFF  # an IDX magic's low byte counts the dims
+    head = 4 * (1 + ndim)
+    if len(raw) < head:
+        raise ValueError(f"truncated IDX file: expected {head} bytes of {what} header")
+    found, *dims = struct.unpack(f">{1 + ndim}I", raw[:head])
+    if found != magic:
+        raise ValueError(f"bad {what} magic 0x{found:08x} in {path}")
+    n = math.prod(dims)
+    if len(raw) - head < n:
+        raise ValueError(
+            f"truncated IDX file: {path} claims {n} bytes of {body}, holds {len(raw) - head}"
+        )
+    return dims, np.frombuffer(raw, dtype=np.uint8, count=n, offset=head)
 
 
 def load_idx(images_path, labels_path, name: str | None = None) -> LabeledDataset:
@@ -121,18 +142,8 @@ def load_idx(images_path, labels_path, name: str | None = None) -> LabeledDatase
 
     Pixels are flattened row-major and scaled into [0, 1] by dividing by 255.
     """
-    with _open_maybe_gzip(images_path) as f:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, "image header"))
-        if magic != IDX_IMAGE_MAGIC:
-            raise ValueError(f"bad image magic 0x{magic:08x} in {images_path}")
-        pixels = np.frombuffer(
-            _read_exact(f, count * rows * cols, "pixels"), dtype=np.uint8
-        )
-    with _open_maybe_gzip(labels_path) as f:
-        magic, label_count = struct.unpack(">II", _read_exact(f, 8, "label header"))
-        if magic != IDX_LABEL_MAGIC:
-            raise ValueError(f"bad label magic 0x{magic:08x} in {labels_path}")
-        labels = np.frombuffer(_read_exact(f, label_count, "labels"), dtype=np.uint8)
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", "pixels")
+    (label_count,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", "labels")
     if count != label_count:
         raise ValueError(f"count mismatch: {count} images vs {label_count} labels")
     x = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
@@ -182,6 +193,8 @@ def split_non_iid(ds: LabeledDataset):
     """
     if ds.num_classes < 2:
         raise ValueError("non-IID split needs at least two classes")
+    if len(ds) < 2:
+        raise ValueError(f"split noniid of {len(ds)} rows leaves one part empty")
     counts = np.bincount(ds.labels, minlength=ds.num_classes)
     rank = np.argsort(np.argsort(counts, kind="stable"), kind="stable")
     order = np.argsort(rank[ds.labels], kind="stable")
@@ -271,7 +284,12 @@ def load_idx_subset(train_pair, test_pair, train_n: int, test_n: int):
         if not 1 <= n <= len(ds):
             raise ValueError(f"{name} size {n} is outside 1..{len(ds)}, the rows in {images}")
         out.append(ds.take(np.sort(rng.choice(len(ds), n, replace=False))))
-    return tuple(out)
+    train, test = out
+    if train.x.shape[1] != test.x.shape[1]:
+        raise ValueError(
+            f"idx-train rows have {train.x.shape[1]} pixels, idx-test rows {test.x.shape[1]}"
+        )
+    return train, test
 
 
 def desk_dataset(train_n: int, test_n: int, dataset_seed: int = DESK_DATASET_SEED):

@@ -130,10 +130,6 @@ def ridge_solve(a, y, ridge: float) -> np.ndarray:
     a = as_matrix(a, "A")
     y = as_matrix(y, "Y")
     check_ridge(ridge)
-    if a.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"row mismatch: A has {a.shape[0]} rows, Y has {y.shape[0]}"
-        )
     n, f = a.shape
     if n >= f:
         return _spd_solve(a.T @ a, ridge, a.T @ y)

@@ -104,11 +104,6 @@ def blind_key_and_cross(blinded_data, key_half, key_mask, cross_mask):
         raise ValueError(
             f"shape mismatch: key {key_half.shape} vs mask {key_mask.shape}"
         )
-    if blinded_data.shape[1] != key_half.shape[0]:
-        raise ValueError(
-            f"blinded data has {blinded_data.shape[1]} columns, "
-            f"key expects {key_half.shape[0]}"
-        )
     blinded_key = key_half + key_mask
     masked_cross = blinded_data @ key_half + cross_mask
     return blinded_key, masked_cross
@@ -129,8 +124,9 @@ class Party:
 
     ``dims`` holds the session dimensions this party knows; one it does not
     know yet is taken from the first received payload that carries it.
-    ``handle`` checks every payload's shape against its row before any
-    handler runs.
+    ``handle`` takes the next due receive and checks every payload's shape
+    against its row before any handler runs; each subclass's ``_finish``
+    does the work due after the final receive.
     """
 
     def __init__(self, session_id: bytes, role: Role, dims: dict[str, int]):
@@ -180,10 +176,7 @@ class Party:
         raise ProtocolAbort(self.role, seq, reason)
 
     def handle(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
-        expected = self.expected_receive()
-        if expected is None:
-            self.abort(msg.seq, "unexpected message after schedule end")
-        seq, sender, _, kind, shapes = expected
+        seq, sender, _, kind, shapes = self.expected_receive()
         if msg.session_id != self.session_id:
             self.abort(msg.seq, "message from a different session")
         if msg.receiver != self.role:
@@ -205,10 +198,6 @@ class Party:
         if not self._receives:
             out += self._finish(msg)
         return out
-
-    def _finish(self, last: ProtocolMessage) -> list[ProtocolMessage]:
-        """Work due after ``last``, the final scheduled receive."""
-        return []
 
     def _msg(self, *payloads) -> ProtocolMessage:
         """This party's next scheduled message, carrying ``payloads``."""
@@ -239,8 +228,6 @@ class ServerParty(Party):
         mask_range: float = DEFAULT_MASK_RANGE,
         zero_masks: bool = False,
     ):
-        if min(n_a, n_b, d) < 1:
-            raise ValueError("all dimensions must be positive")
         check_mask_range(mask_range)
         dims = {"a": n_a, "b": n_b, "d1": d + 1, "h": hyper.half_width}
         super().__init__(session_id, Role.SERVER, dims)
@@ -325,8 +312,6 @@ class ClientParty(Party):
         key_rng: RngStream | None = None,
         key=None,
     ):
-        if role not in (Role.CLIENT_A, Role.CLIENT_B):
-            raise ValueError(f"{role.name} is not a client role")
         x_aug = augment(x)
         rows, d1 = x_aug.shape
         own = "a" if role == Role.CLIENT_A else "b"

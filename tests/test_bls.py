@@ -297,3 +297,22 @@ class TestDeterminismAndJointForm:
         )
         denom = np.linalg.norm(pooled)
         assert np.linalg.norm(blockwise - pooled) / denom < 1e-10
+
+
+class TestShapeMismatchesRaise:
+    """The products refuse mismatched operands themselves, so each public call
+    raises ValueError; only a missing enhancement key needs its own check."""
+
+    def test_map_key_against_mix_key(self):
+        with pytest.raises(ValueError):
+            mapped_features_simplified(np.ones((2, 3)), np.ones((3, 4)), np.eye(5))
+
+    def test_enhancement_key_width(self):
+        keys = [(np.ones((4, 3)), np.zeros((1, 3))), (np.ones((5, 2)), np.zeros((1, 2)))]
+        with pytest.raises(ValueError):
+            enhancement_features(np.ones((2, 4)), keys)
+
+    def test_no_enhancement_key(self):
+        # An empty key list would give a zero-width H without complaint.
+        with pytest.raises(ValueError, match="at least one enhancement key"):
+            enhancement_features(np.ones((2, 4)), [])

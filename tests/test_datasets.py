@@ -14,6 +14,7 @@ from msbls.datasets import (
     SplitPlan,
     desk_dataset,
     load_idx,
+    load_idx_subset,
     one_hot,
     split_non_iid,
     split_quantity,
@@ -308,3 +309,43 @@ def test_synthetic_equals_per_row_reference(n_samples, seed):
     ds = synthetic_image_dataset(n_samples, seed=seed)
     x, labels = _per_row_synthetic(n_samples, seed)
     assert np.array_equal(ds.x, x) and np.array_equal(ds.labels, labels)
+
+
+class TestIdxHeaderAndWidths:
+    def test_header_claiming_more_than_the_file_holds(self, tmp_path):
+        # 0xFFFFFFFF images of 0xFFFF x 0xFFFF pixels: more bytes than any
+        # read can be sized for.
+        with open(tmp_path / "imgs", "wb") as f:
+            f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, 0xFFFFFFFF, 0xFFFF, 0xFFFF) + bytes(4))
+        with open(tmp_path / "lbls", "wb") as f:
+            f.write(struct.pack(">II", IDX_LABEL_MAGIC, 1) + bytes(1))
+        with pytest.raises(ValueError, match="truncated IDX file"):
+            load_idx(tmp_path / "imgs", tmp_path / "lbls")
+
+    def test_label_header_claiming_more_than_the_file_holds(self, tmp_path):
+        with open(tmp_path / "imgs", "wb") as f:
+            f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, 1, 2, 2) + bytes(4))
+        with open(tmp_path / "lbls", "wb") as f:
+            f.write(struct.pack(">II", IDX_LABEL_MAGIC, 1000) + bytes(1))
+        with pytest.raises(ValueError, match="truncated IDX file.*1000 bytes of labels"):
+            load_idx(tmp_path / "imgs", tmp_path / "lbls")
+
+    def test_train_and_test_widths_must_agree(self, tmp_path):
+        pairs = []
+        for split, side in (("train", 28), ("test", 27)):
+            pair = (tmp_path / f"{split}-images", tmp_path / f"{split}-labels")
+            write_idx(toy_dataset(np.arange(6) % 2, side=side), *pair)
+            pairs.append(pair)
+        with pytest.raises(ValueError, match="784 pixels.* 729"):
+            load_idx_subset(*pairs, 4, 4)
+
+
+class TestSplitErrorsNameTheSplit:
+    def test_non_iid_of_one_row(self):
+        ds = LabeledDataset(x=np.ones((1, 4)), labels=[1], num_classes=2, name="toy")
+        with pytest.raises(ValueError, match="^split noniid of 1 rows leaves one part empty$"):
+            split_non_iid(ds)
+
+    def test_unparsable_ratio(self):
+        with pytest.raises(ValueError, match="^cannot parse split plan 'quantity:abc'$"):
+            SplitPlan.parse("quantity:abc")

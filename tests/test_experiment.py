@@ -4,6 +4,7 @@ import json
 import os
 import re
 import socket
+import struct
 import subprocess
 import sys
 import weakref
@@ -756,3 +757,61 @@ class TestRepeatedBaselineAndNegativeSeedRejected:
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.output == message
+
+
+class TestInputErrorsEndCleanly:
+    """Bad IDX files and split requests end with exit 1 and an error naming
+    the cause; bad IDX files before any runner starts."""
+
+    @pytest.fixture
+    def idx_paths(self, tmp_path, monkeypatch):
+        """Writes a 28x28 train pair and a 28x28 test pair and stubs out the
+        runners; returns the four CLI path options by name."""
+        monkeypatch.delenv("MSBLS_DATA_DIR", raising=False)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a runner started")
+
+        for runner in ("run_msbls", "run_non_privacy", "run_single_party"):
+            monkeypatch.setattr(experiment, runner, no_training)
+        train, test = desk_dataset(train_n=40, test_n=10)
+        paths = {opt: tmp_path / opt.strip("-") for opt in
+                 ("--train-images", "--train-labels", "--test-images", "--test-labels")}
+        write_idx(train, paths["--train-images"], paths["--train-labels"])
+        write_idx(test, paths["--test-images"], paths["--test-labels"])
+        return paths
+
+    def _invoke(self, *args):
+        return CliRunner().invoke(
+            main, ["--n", "2", "--dz", "4", "--dh", "20", "--baselines", "msbls,nbls,sbls", *args]
+        )
+
+    def _idx_args(self, paths):
+        return ["--dataset", "mnist", "--train-size", "20", "--test-size", "5",
+                *[arg for opt, path in paths.items() for arg in (opt, str(path))]]
+
+    def _assert_error(self, result, start):
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.startswith(f"error: {start}"), result.output
+
+    def test_over_claiming_idx_header(self, idx_paths):
+        with open(idx_paths["--train-images"], "r+b") as f:
+            f.write(struct.pack(">IIII", datasets.IDX_IMAGE_MAGIC, 0xFFFFFFFF, 0xFFFF, 0xFFFF))
+        result = self._invoke(*self._idx_args(idx_paths))
+        self._assert_error(result, "truncated IDX file")
+
+    def test_train_and_test_widths_disagree(self, idx_paths):
+        narrow = LabeledDataset(x=np.zeros((10, 27 * 27)), labels=np.arange(10), num_classes=10,
+                                name="narrow")
+        write_idx(narrow, idx_paths["--test-images"], idx_paths["--test-labels"])
+        result = self._invoke(*self._idx_args(idx_paths))
+        self._assert_error(result, "idx-train rows have 784 pixels, idx-test rows 729")
+
+    @pytest.mark.parametrize("args, message", [
+        (["--split", "noniid", "--test-size", "1"], "split noniid of 1 rows leaves one part empty\n"),
+        (["--split", "quantity:abc"], "cannot parse split plan 'quantity:abc'\n"),
+    ], ids=["noniid-one-row", "unparsable-ratio"])
+    def test_split_errors(self, args, message):
+        result = self._invoke("--train-size", "40", *args)
+        self._assert_error(result, message)

@@ -173,3 +173,12 @@ def test_non_finite_ridge_rejected(ridge):
         ridge_solve(a, np.ones((4, 1)), ridge)
     with pytest.raises(ValueError, match="ridge must be positive and finite"):
         pseudoinverse(a, ridge)
+
+
+@pytest.mark.parametrize("a_shape, y_shape", [((4, 3), (5, 1)), ((2, 5), (3, 1))],
+                         ids=["n>=f", "n<f"])
+def test_row_mismatch_rejected_on_either_gram(a_shape, y_shape):
+    # a.T @ y refuses the rows when n >= f, the Cholesky solve when n < f.
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        ridge_solve(rng.standard_normal(a_shape), rng.standard_normal(y_shape), 1e-8)

@@ -684,3 +684,33 @@ class TestScheduleShapes:
         abort = tampered_abort(2, taller_cross_mask)
         assert (abort.role, abort.seq) == (Role.CLIENT_B, 3)
         assert "BLINDED_DATA payload has shape (4, 4), expected (5, 4)" in abort.reason
+
+
+class TestStepShapeChecks:
+    """A mismatch the step's own product refuses raises ValueError from the
+    step; the checks that remain guard what numpy would broadcast or tile."""
+
+    def test_cross_inner_dimension(self):
+        with pytest.raises(ValueError):
+            blind_key_and_cross(np.ones((3, 4)), np.ones((5, 2)), np.ones((5, 2)), np.ones((3, 2)))
+
+    def test_mix_key_width(self):
+        with pytest.raises(ValueError):
+            assemble_mapped_features(
+                np.ones((2, 2)), np.ones((2, 2)), np.ones((3, 2)), np.ones((3, 2)), np.eye(5)
+            )
+
+    def test_uneven_column_tiling(self):
+        # np.block would tile (2,3)|(2,1) over (3,2)|(3,2) into a (5,4) matrix.
+        with pytest.raises(ValueError, match="column counts do not tile"):
+            assemble_mapped_features(
+                np.ones((2, 3)), np.ones((2, 1)), np.ones((3, 2)), np.ones((3, 2)), np.eye(4)
+            )
+
+    def test_single_row_data_mask(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            blind_data(np.ones((3, 4)), np.ones((1, 4)))
+
+    def test_single_row_key_mask(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            blind_key_and_cross(np.ones((3, 4)), np.ones((4, 2)), np.ones((1, 2)), np.ones((3, 2)))
