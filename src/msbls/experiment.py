@@ -34,7 +34,7 @@ from .datasets import (
     LabeledDataset, SplitPlan, find_idx_pair, load_idx_subset, one_hot, split_dataset,
     synthetic_desk_dataset,
 )
-from .linalg import RNG_ALGORITHM, RngStream, derive_streams
+from .linalg import RNG_ALGORITHM, RngStream, SolverError, derive_streams
 from .protocol import DEFAULT_MASK_RANGE, PartyRngs, check_mask_range, run_protocol
 from .transport import make_bus_endpoints, make_tcp_endpoints
 
@@ -51,6 +51,9 @@ _STREAMS = (
     "single_a",
     "single_b",
 )
+
+# |H| above this counts as saturated in the report's numerical health.
+SATURATION = 0.999
 
 # The run grid's choice lists: ExperimentConfig checks against them and the
 # CLI offers them. The generated dataset and the socket transport come last.
@@ -112,7 +115,14 @@ class ExperimentConfig:
 @dataclass
 class MetricsReport:
     """One run's metrics. Message/byte counts cover the training-feature
-    session; the test-feature session has the same fixed shape."""
+    session; the test-feature session has the same fixed shape.
+
+    Numerical health of the training fit: ``saturated_frac`` is the share of
+    |H| above ``SATURATION``, ``gram_rcond`` the reciprocal condition
+    estimate of the factorized regularized Gram matrix (the n x n kernel
+    when there are fewer rows than features), and ``readout_residual`` is
+    ||[Zn | H] W - Y||_F / ||Y||_F.
+    """
 
     baseline: str
     seed: int
@@ -123,6 +133,9 @@ class MetricsReport:
     train_time_s: float
     message_count: int
     bytes_on_wire: int
+    saturated_frac: float
+    gram_rcond: float
+    readout_residual: float
     rng_algorithm: str = RNG_ALGORITHM
     config: dict = field(default_factory=dict)
 
@@ -183,6 +196,11 @@ def _fit_and_evaluate(baseline: str, dataset: str, config: ExperimentConfig, see
     """Map the training rows, fit the readout, map and score the test rows,
     and build the run's report, model and result.
 
+    The shrinkage scale is taken from the training features and folded into
+    the enhancement keys, so training and test rows share one enhancement
+    map. Training rows are scored from the feature blocks, test rows from
+    their stacked features, as the stored model is applied elsewhere.
+
     ``features(*rows)`` maps ``train_rows`` or ``test_rows``, each a tuple of
     datasets, to one feature block in row order; their labels are stacked
     in the same order. ``train_time_s`` covers the training features and
@@ -194,14 +212,28 @@ def _fit_and_evaluate(baseline: str, dataset: str, config: ExperimentConfig, see
     started = time.perf_counter()
     zn_train = features(*train_rows)
     train_labels = np.concatenate([part.labels for part in train_rows])
-    enh_keys = bls.generate_enhancement_keys(hyper, enh_stream)
-    hm = bls.enhancement_features(zn_train, enh_keys, hyper.activation)
-    weights = bls.train_output_weights(
-        zn_train, hm, one_hot(train_labels, train_rows[0].num_classes), hyper.ridge
+    y = one_hot(train_labels, train_rows[0].num_classes)
+    enh_keys = bls.shrink_enhancement_keys(
+        zn_train, bls.generate_enhancement_keys(hyper, enh_stream)
     )
-    train_pred = bls.predict_labels(np.hstack([zn_train, hm]), weights)
+    hm = bls.enhancement_features(zn_train, enh_keys, hyper.activation)
+    health = {}
+    try:
+        weights = bls.train_output_weights(zn_train, hm, y, hyper.ridge, health)
+    except SolverError as exc:
+        d = train_rows[0].x.shape[1]
+        if hyper.mapped_width <= d + 1:
+            raise
+        raise SolverError(
+            f"{exc}; the mapped width {hyper.mapped_width} exceeds the input width + 1 "
+            f"({d + 1}), so the mapped features are rank-deficient: use a larger --lambda"
+        ) from exc
+    scores = bls.readout_scores(zn_train, hm, weights)
+    train_pred = np.argmax(scores, axis=1)
     train_time = time.perf_counter() - started
-    del hm  # release the training enhancement block before the test rows are mapped
+    health["readout_residual"] = float(np.linalg.norm(scores - y) / np.linalg.norm(y))
+    health["saturated_frac"] = np.count_nonzero((hm > SATURATION) | (hm < -SATURATION)) / hm.size
+    del hm, scores  # release the training enhancement block before the test rows are mapped
 
     zn_test = features(*test_rows)
     test_labels = np.concatenate([part.labels for part in test_rows])
@@ -219,6 +251,7 @@ def _fit_and_evaluate(baseline: str, dataset: str, config: ExperimentConfig, see
         train_time_s=train_time,
         message_count=wire.message_count if wire else 0,
         bytes_on_wire=wire.bytes_on_wire if wire else 0,
+        **health,
         config={
             "hyper": asdict(hyper),
             "split": config.split.describe(),
@@ -310,7 +343,8 @@ def _run_own_model(shard: LabeledDataset, test: LabeledDataset, config: Experime
 
 def run_single_party(train: LabeledDataset, test: LabeledDataset, config: ExperimentConfig, seed: int) -> SinglePartyResult:
     """One independent model per client shard, both evaluated on the full
-    test set; the headline number is their mean, both sides retained."""
+    test set; the headline number is their mean, both sides retained. The
+    mean report's health fields take the worse of the two."""
     streams, (train_a, train_b) = _seeded_split(seed, config.split, train)
     result_a = _run_own_model(train_a, test, config, seed, streams["single_a"], "sbls_a")
     result_b = _run_own_model(train_b, test, config, seed, streams["single_b"], "sbls_b")
@@ -322,6 +356,9 @@ def run_single_party(train: LabeledDataset, test: LabeledDataset, config: Experi
         train_accuracy=(a.train_accuracy + b.train_accuracy) / 2,
         test_accuracy=(a.test_accuracy + b.test_accuracy) / 2,
         train_time_s=a.train_time_s + b.train_time_s,
+        saturated_frac=max(a.saturated_frac, b.saturated_frac),
+        gram_rcond=min(a.gram_rcond, b.gram_rcond),
+        readout_residual=max(a.readout_residual, b.readout_residual),
     )
     return SinglePartyResult(client_a=result_a, client_b=result_b, mean_report=mean_report)
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpocon
 
 RNG_ALGORITHM = "pcg64"
 
@@ -95,14 +96,22 @@ def check_ridge(ridge: float) -> None:
         raise ValueError(f"ridge must be positive and finite, got {ridge}")
 
 
-def _spd_solve(gram: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarray:
+def _spd_solve(gram: np.ndarray, ridge: float, rhs: np.ndarray,
+               health: dict | None = None) -> np.ndarray:
     # The ridge (> 0) on the diagonal makes the Gram matrix SPD for finite
     # input; a Cholesky failure means the problem is numerically out of reach.
     gram[np.diag_indices_from(gram)] += ridge
+    if health is not None:
+        anorm = np.linalg.norm(gram, 1)
     try:
-        factor = cho_factor(gram, check_finite=False)
+        factor = cho_factor(gram, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"positive-definite factorization failed: {exc}") from exc
+    if health is not None:
+        # LAPACK's O(f^2) reciprocal 1-norm condition estimate from the factor,
+        # kept to three digits: its last bits vary from process to process.
+        rcond = dpocon(factor[0], anorm, "L" if factor[1] else "U")[0]
+        health["gram_rcond"] = float(f"{rcond:.3g}")
     return cho_solve(factor, rhs, check_finite=False)
 
 
@@ -114,11 +123,7 @@ def pseudoinverse(a, ridge: float) -> np.ndarray:
     cols(A) x rows(A). The factorization runs on the smaller Gram matrix.
     """
     a = as_matrix(a, "A")
-    check_ridge(ridge)
-    n, f = a.shape
-    if n <= f:
-        return a.T @ _spd_solve(a @ a.T, ridge, np.eye(n))
-    return _spd_solve(a.T @ a, ridge, a.T)
+    return ridge_solve(a, np.eye(a.shape[0]), ridge)
 
 
 def ridge_solve(a, y, ridge: float) -> np.ndarray:
@@ -127,10 +132,37 @@ def ridge_solve(a, y, ridge: float) -> np.ndarray:
     Equivalent to ``pseudoinverse(A, ridge) @ Y`` but never materializes the
     pseudoinverse.
     """
-    a = as_matrix(a, "A")
+    return ridge_solve_blocks([a], y, ridge)
+
+
+def ridge_solve_blocks(blocks, y, ridge: float, health: dict | None = None) -> np.ndarray:
+    """``ridge_solve(np.hstack(blocks), y, ridge)`` without the stacked copy.
+
+    With n >= f the f x f Gram matrix is filled block by block, each
+    diagonal block as ``b.T @ b`` on one array so that numpy takes its
+    symmetric kernel; with n < f the n x n kernel is the sum of ``b @ b.T``.
+    ``ridge_solve`` is its one-block call. If ``health`` is a dict,
+    the solve stores the factorized matrix's reciprocal condition estimate,
+    to three significant digits, in it under ``"gram_rcond"``.
+    """
+    blocks = [as_matrix(b, f"A block {i}") for i, b in enumerate(blocks)]
     y = as_matrix(y, "Y")
     check_ridge(ridge)
-    n, f = a.shape
-    if n >= f:
-        return _spd_solve(a.T @ a, ridge, a.T @ y)
-    return a.T @ _spd_solve(a @ a.T, ridge, y)
+    n = blocks[0].shape[0]
+    edges = np.cumsum([0] + [b.shape[1] for b in blocks])
+    if n < edges[-1]:
+        kernel = blocks[0] @ blocks[0].T
+        for b in blocks[1:]:
+            kernel += b @ b.T
+        alpha = _spd_solve(kernel, ridge, y, health)
+        return np.vstack([b.T @ alpha for b in blocks])
+    gram = np.empty((edges[-1], edges[-1]))
+    spans = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    for i, (b, rows) in enumerate(zip(blocks, spans)):
+        gram[rows, rows] = b.T @ b
+        for other, cols in zip(blocks[i + 1:], spans[i + 1:]):
+            gram[rows, cols] = b.T @ other
+            gram[cols, rows] = gram[rows, cols].T
+    # y.T @ b walks b in row order: twice as fast as b.T @ y for a few columns of y.
+    rhs = np.vstack([(y.T @ b).T for b in blocks])
+    return _spd_solve(gram, ridge, rhs, health)

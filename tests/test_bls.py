@@ -17,6 +17,8 @@ from msbls.bls import (
     joint_mapped_features,
     mapped_features_simplified,
     predict_labels,
+    readout_scores,
+    shrink_enhancement_keys,
     stack_affine_groups,
     train_output_weights,
 )
@@ -316,3 +318,25 @@ class TestShapeMismatchesRaise:
         # An empty key list would give a zero-width H without complaint.
         with pytest.raises(ValueError, match="at least one enhancement key"):
             enhancement_features(np.ones((2, 4)), [])
+
+
+class TestShrinkage:
+    def test_scaled_peak_is_the_shrinkage(self):
+        rng = np.random.default_rng(8)
+        zn = rng.standard_normal((50, 6)) * 30
+        keys = [(rng.standard_normal((6, k)), rng.uniform(-1, 1, (1, k))) for k in (4, 7)]
+        scaled = shrink_enhancement_keys(zn, keys)
+        peak = max(np.max(np.abs(zn @ w + b)) for w, b in scaled)
+        assert peak == pytest.approx(0.8, rel=1e-12)
+        scale = scaled[0][0][0, 0] / keys[0][0][0, 0]
+        for (w, b), (w0, b0) in zip(scaled, keys):
+            assert np.allclose(w, w0 * scale, rtol=1e-15)
+            assert np.allclose(b, b0 * scale, rtol=1e-15)
+        # Scaled by 0.8 / peak, tanh stays below 0.67 on the rows that set the scale.
+        assert np.max(np.abs(enhancement_features(zn, scaled, "tanh"))) < 0.67
+
+    def test_block_scores_match_the_stacked_product(self):
+        rng = np.random.default_rng(9)
+        zn, hm = rng.standard_normal((20, 3)), rng.standard_normal((20, 5))
+        w = rng.standard_normal((8, 4))
+        assert np.allclose(readout_scores(zn, hm, w), np.hstack([zn, hm]) @ w, rtol=1e-13, atol=1e-13)

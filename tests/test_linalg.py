@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from msbls.linalg import (
     pseudoinverse,
     random_matrix,
     ridge_solve,
+    ridge_solve_blocks,
 )
 
 
@@ -182,3 +185,51 @@ def test_row_mismatch_rejected_on_either_gram(a_shape, y_shape):
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         ridge_solve(rng.standard_normal(a_shape), rng.standard_normal(y_shape), 1e-8)
+
+
+class TestRidgeSolveBlocks:
+    @pytest.mark.parametrize("n", [60, 25], ids=["n>=f", "n<f"])
+    def test_matches_the_stacked_solve(self, n):
+        rng = np.random.default_rng(n)
+        zn, hm = rng.standard_normal((n, 10)), rng.standard_normal((n, 30))
+        y = rng.standard_normal((n, 3))
+        stacked = ridge_solve(np.hstack([zn, hm]), y, 1e-2)
+        blocks = ridge_solve_blocks([zn, hm], y, 1e-2)
+        assert np.linalg.norm(blocks - stacked) / np.linalg.norm(stacked) < 1e-10
+
+    @pytest.mark.parametrize("n", [60, 25], ids=["n>=f", "n<f"])
+    def test_health_holds_the_condition_estimate(self, n):
+        rng = np.random.default_rng(n)
+        zn, hm = rng.standard_normal((n, 10)), rng.standard_normal((n, 30))
+        health = {}
+        ridge_solve_blocks([zn, hm], rng.standard_normal((n, 3)), 1e-2, health)
+        a = np.hstack([zn, hm])
+        gram = a.T @ a if n >= 40 else a @ a.T
+        exact = 1 / np.linalg.cond(gram + 1e-2 * np.eye(len(gram)), 1)
+        # LAPACK bounds the inverse's norm from below, so the estimate sits at
+        # or above the true value (less three-digit rounding), within a small factor.
+        assert exact * 0.99 <= health["gram_rcond"] <= exact * 10
+
+    @pytest.mark.parametrize("first, second", [((5, 1), (4, 2)), ((2, 3), (3, 3))],
+                             ids=["n>=f", "n<f"])
+    def test_block_row_mismatch_rejected(self, first, second):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            ridge_solve_blocks(
+                [rng.standard_normal(first), rng.standard_normal(second)],
+                np.ones((first[0], 1)), 1e-8,
+            )
+
+    def test_never_holds_a_stacked_copy(self):
+        from msbls.bls import train_output_weights
+
+        rng = np.random.default_rng(0)
+        zn, hm = rng.standard_normal((4000, 100)), np.tanh(rng.standard_normal((4000, 1000)))
+        y = np.eye(10)[rng.integers(0, 10, 4000)]
+        tracemalloc.start()
+        try:
+            train_output_weights(zn, hm, y, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4000 * 1100 * 8
