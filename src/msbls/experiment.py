@@ -198,8 +198,8 @@ def _fit_and_evaluate(baseline: str, dataset: str, config: ExperimentConfig, see
 
     The shrinkage scale is taken from the training features and folded into
     the enhancement keys, so training and test rows share one enhancement
-    map. Training rows are scored from the feature blocks, test rows from
-    their stacked features, as the stored model is applied elsewhere.
+    map, and both are scored from their feature blocks by
+    ``bls.readout_scores``, whose rounding margin moves no prediction.
 
     ``features(*rows)`` maps ``train_rows`` or ``test_rows``, each a tuple of
     datasets, to one feature block in row order; their labels are stacked
@@ -238,7 +238,7 @@ def _fit_and_evaluate(baseline: str, dataset: str, config: ExperimentConfig, see
     zn_test = features(*test_rows)
     test_labels = np.concatenate([part.labels for part in test_rows])
     hm_test = bls.enhancement_features(zn_test, enh_keys, hyper.activation)
-    test_pred = bls.predict_labels(np.hstack([zn_test, hm_test]), weights)
+    test_pred = np.argmax(bls.readout_scores(zn_test, hm_test, weights), axis=1)
 
     wire = sessions[0] if sessions else None
     report = MetricsReport(

@@ -151,7 +151,7 @@ class Party:
         # Copy so a later zeroize cannot destroy caller-persisted keys.
         held = self._hold(name, as_matrix(np.array(key, dtype=np.float64, copy=True), name))
         if held.shape != shape:
-            raise ValueError(f"{name} must be {shape}, got {held.shape}")
+            raise ValueError(f"{self.role.name} {name} must be {shape}, got {held.shape}")
         return held
 
     def view_matrices(self) -> dict[str, np.ndarray]:

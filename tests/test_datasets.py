@@ -270,6 +270,41 @@ class TestSynthetic:
         assert train.x.shape[1] == test.x.shape[1]
 
 
+class TestDeskDatasetSource:
+    """``desk_dataset`` reads the IDX pairs under ``MSBLS_DATA_DIR`` and falls
+    back to the synthetic set when that directory holds no pair."""
+
+    def test_reads_the_idx_pairs_under_the_data_dir(self, tmp_path, monkeypatch):
+        train = toy_dataset(np.arange(12) % 3, side=3, seed=1)
+        test = toy_dataset(np.arange(6) % 3, side=3, seed=2)
+        write_idx(train, tmp_path / "train-images-idx3-ubyte", tmp_path / "train-labels-idx1-ubyte")
+        write_idx(test, tmp_path / "t10k-images-idx3-ubyte", tmp_path / "t10k-labels-idx1-ubyte")
+        monkeypatch.setenv("MSBLS_DATA_DIR", str(tmp_path))
+        expected = load_idx_subset(
+            (tmp_path / "train-images-idx3-ubyte", tmp_path / "train-labels-idx1-ubyte"),
+            (tmp_path / "t10k-images-idx3-ubyte", tmp_path / "t10k-labels-idx1-ubyte"),
+            8, 4,
+        )
+        got = desk_dataset(train_n=8, test_n=4)
+        assert [(ds.name, len(ds), ds.x.shape[1]) for ds in got] == [
+            ("idx-train", 8, 9), ("idx-test", 4, 9)
+        ]
+        for a, b in zip(got, expected):
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.labels, b.labels)
+
+    def test_data_dir_without_a_pair_falls_back_to_synthetic(self, tmp_path, monkeypatch):
+        # Only the training pair: the test pair is missing, so neither is read.
+        train = toy_dataset(np.arange(12) % 3, side=3)
+        write_idx(train, tmp_path / "train-images-idx3-ubyte", tmp_path / "train-labels-idx1-ubyte")
+        monkeypatch.setenv("MSBLS_DATA_DIR", str(tmp_path))
+        got = desk_dataset(train_n=20, test_n=5)
+        monkeypatch.delenv("MSBLS_DATA_DIR")
+        expected = desk_dataset(train_n=20, test_n=5)
+        assert [ds.name for ds in got] == ["synthetic-train", "synthetic-test"]
+        for a, b in zip(got, expected):
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.labels, b.labels)
+
+
 def _per_row_synthetic(n_samples, seed):
     """Reference sampler: each row's prototype shifted on its own, with the
     same draws and arithmetic as ``synthetic_image_dataset``."""
@@ -320,6 +355,14 @@ class TestIdxHeaderAndWidths:
         with open(tmp_path / "lbls", "wb") as f:
             f.write(struct.pack(">II", IDX_LABEL_MAGIC, 1) + bytes(1))
         with pytest.raises(ValueError, match="truncated IDX file"):
+            load_idx(tmp_path / "imgs", tmp_path / "lbls")
+
+    def test_file_shorter_than_its_header(self, tmp_path):
+        with open(tmp_path / "imgs", "wb") as f:
+            f.write(struct.pack(">II", IDX_IMAGE_MAGIC, 1))
+        with pytest.raises(
+            ValueError, match="^truncated IDX file: expected 16 bytes of image header$"
+        ):
             load_idx(tmp_path / "imgs", tmp_path / "lbls")
 
     def test_label_header_claiming_more_than_the_file_holds(self, tmp_path):

@@ -23,6 +23,7 @@ from msbls.bls import (
     generate_mix_key,
     joint_mapped_features,
     predict_labels,
+    readout_scores,
     train_output_weights,
 )
 from msbls.cli import main
@@ -340,6 +341,12 @@ class TestCli:
         (record,) = [json.loads(l) for l in result.output.splitlines() if l.startswith("{")]
         assert (record["message_count"], record["config"]["transport"]) == (12, "tcp")
 
+    def test_listen_without_an_address_is_a_usage_error(self):
+        result = CliRunner().invoke(main, ["--transport", "tcp", "--listen", "server"])
+        assert result.exit_code == 2, result.output
+        assert "Usage:" in result.output
+        assert "expected ROLE=HOST:PORT, got 'server'" in result.output
+
     def test_busy_listen_port_errors_cleanly(self):
         with socket.socket() as busy:
             busy.bind(("127.0.0.1", 0))
@@ -469,6 +476,16 @@ class TestDataSource:
             ExperimentConfig(dataset="synthetic", train_size=50, test_size=10)
         )
         assert (train.name, test.name) == ("synthetic-train", "synthetic-test")
+
+    def test_named_dataset_without_a_source_names_all_three(self, monkeypatch):
+        monkeypatch.delenv("MSBLS_DATA_DIR", raising=False)
+        result = CliRunner().invoke(main, ["--dataset", "mnist"])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == (
+            "error: dataset 'mnist' needs --*-images/--*-labels paths, --data-dir "
+            "or MSBLS_DATA_DIR\n"
+        )
 
     def test_named_dataset_reads_data_dir_env(self, idx_dir):
         train, test = load_experiment_data(
@@ -735,6 +752,36 @@ class TestReadoutAppliesTheModel:
         expected = predict_labels(np.hstack([result.test_mapped, hm]), model.output_weights)
         assert np.array_equal(result.test_predictions, expected)
         assert result.report.test_accuracy == accuracy(expected, result.test_labels)
+
+
+class TestOneScoringPath:
+    """Test rows are scored from their feature blocks, as training rows are.
+
+    The block sum rounds differently from the stacked product that
+    ``predict_labels`` takes; the difference must stay far below both the
+    scores and the gap between each row's top two scores, or a drift back
+    toward an ill-conditioned readout could flip a prediction.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("runner", [
+        run_msbls,
+        run_non_privacy,
+        lambda *args: run_single_party(*args).client_a,
+    ], ids=["msbls", "nbls", "sbls_a"])
+    def test_block_scores_match_the_stacked_readout(self, small_desk_data, runner, seed):
+        train, test = small_desk_data
+        result = runner(train, test, small_config(), seed)
+        model = result.model
+        zn = result.test_mapped
+        hm = enhancement_features(zn, model.enhancement_keys, model.hyperparams.activation)
+        block = readout_scores(zn, hm, model.output_weights)
+        stacked = np.hstack([zn, hm]) @ model.output_weights
+        assert np.array_equal(result.test_predictions, np.argmax(block, axis=1))
+        diff = np.max(np.abs(block - stacked))
+        assert diff < 1e-10 * np.max(np.abs(block))
+        top2 = np.sort(block, axis=1)[:, -2:]
+        assert diff < 1e-3 * np.min(top2[:, 1] - top2[:, 0])
 
 
 class TestRepeatedBaselineAndNegativeSeedRejected:

@@ -76,6 +76,33 @@ class TestServerInit:
             BlsHyperParams(map_groups=1, map_dim=3)
 
 
+class TestClientKeyErrorsNameTheParty:
+    """A missing or misshapen client key half names the client it belongs to."""
+
+    HYPER = BlsHyperParams(map_groups=2, map_dim=4)  # half width 4
+
+    def test_missing_key_names_the_client(self):
+        with pytest.raises(
+            ValueError, match="^CLIENT_A needs a persisted key or a key stream$"
+        ):
+            run_protocol(np.ones((3, 2)), np.ones((2, 2)), self.HYPER,
+                         PartyRngs(mask=RngStream(0)))
+
+    @pytest.mark.parametrize("role", [Role.CLIENT_A, Role.CLIENT_B], ids=lambda r: r.name)
+    def test_misshapen_persisted_key_names_the_client(self, role):
+        good, bad = np.ones((3, 4)), np.ones((2, 2))
+        keys = protocol.FederationKeys(
+            key_a=bad if role == Role.CLIENT_A else good,
+            key_b=bad if role == Role.CLIENT_B else good,
+            mix_key=np.eye(8),
+        )
+        with pytest.raises(
+            ValueError, match=rf"^{role.name} key must be \(3, 4\), got \(2, 2\)$"
+        ):
+            run_protocol(np.ones((3, 2)), np.ones((2, 2)), self.HYPER,
+                         PartyRngs(mask=RngStream(0)), keys=keys)
+
+
 class TestStepAlgebra:
     def setup_method(self):
         rng = np.random.default_rng(42)

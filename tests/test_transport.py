@@ -315,6 +315,29 @@ class TestTcp:
         assert [str(w.message) for w in caught] == []
         assert threading.active_count() == baseline
 
+    def test_cannot_spoof_sender(self):
+        endpoints = make_tcp_endpoints()
+        try:
+            with pytest.raises(ValueError, match="^SERVER endpoint cannot send as CLIENT_A$"):
+                endpoints[Role.SERVER].send(msg([np.ones((1, 1))]))  # sender CLIENT_A
+        finally:
+            for ep in endpoints.values():
+                ep.close()
+
+    def test_bad_hello_magic_fails_setup_and_closes_every_socket(self, monkeypatch):
+        def foreign_hello(sock, role):
+            sock.sendall(transport._HELLO.pack(b"XXXX", transport.VERSION, int(role)))
+
+        monkeypatch.setattr(transport, "_hello", foreign_hello)
+        baseline = threading.active_count()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TransportClosed, match="^tcp setup failed: bad connection hello$"):
+                make_tcp_endpoints()
+            gc.collect()
+        assert [str(w.message) for w in caught] == []
+        assert threading.active_count() == baseline
+
     def test_frame_claiming_another_sender_rejected(self):
         endpoints = make_tcp_endpoints()
         try:
