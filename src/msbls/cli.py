@@ -31,6 +31,8 @@ def _parse_role_addr(ctx, param, values):
         name = name.strip().lower()
         if name not in roles:
             raise click.BadParameter(f"role {name!r} does not listen; use {' or '.join(roles)}")
+        if roles[name] in out:
+            raise click.BadParameter(f"role {name!r} is given more than once")
         out[roles[name]] = (host, port)
     return out or None
 

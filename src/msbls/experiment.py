@@ -110,6 +110,8 @@ class ExperimentConfig:
         # A named dataset reads one source, the synthetic dataset none.
         if bool(self.data_dir) + all(paths) > (self.dataset != "synthetic"):
             raise ValueError("data_dir and IDX paths exclude each other and the synthetic dataset")
+        if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise ValueError(f"out {self.out!r}: no such directory")
 
 
 @dataclass

@@ -435,7 +435,7 @@ def run_protocol(
     hyper: BlsHyperParams,
     rngs: PartyRngs,
     keys: FederationKeys | None = None,
-    endpoints: dict[Role, transport.Endpoint] | None = None,
+    endpoints: dict | None = None,
     mask_range: float = DEFAULT_MASK_RANGE,
     zero_masks: bool = False,
     timeout_s: float | None = None,

@@ -10,8 +10,10 @@ returns, sized from the declared dims, so a one-payload frame is allocated
 once and none of its payload bytes is copied on the way; the whole frame must
 arrive within the socket's timeout. Frames round-trip bit-exactly for finite
 matrices; bad magic, bad version, oversized dims, truncation or checksum
-mismatch reject the frame without state change. Delivery is FIFO per directed
-(sender, receiver) pair on both backends.
+mismatch reject the frame without state change. Each backend gives every role
+an endpoint with ``role``, ``send(msg)``, ``recv(sender, timeout)`` and
+``close()``. Delivery is FIFO per directed (sender, receiver) pair; ``recv``
+raises TransportTimeout if nothing comes in time, TransportClosed once closed.
 """
 
 from __future__ import annotations
@@ -157,22 +159,7 @@ def decode_message(data: bytes) -> ProtocolMessage:
         raise FrameError(f"invalid message fields: {exc}") from exc
 
 
-class Endpoint:
-    """One role's handle on a session: send to peers, receive per sender."""
-
-    role: Role
-
-    def send(self, msg: ProtocolMessage) -> None:
-        raise NotImplementedError
-
-    def recv(self, sender: Role, timeout: float) -> ProtocolMessage:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
-class _BusEndpoint(Endpoint):
+class _BusEndpoint:
     def __init__(self, role: Role, queues, closed: threading.Event):
         self.role = role
         self._queues = queues
@@ -205,7 +192,7 @@ class _BusEndpoint(Endpoint):
             q.put(None)
 
 
-def make_bus_endpoints() -> dict[Role, Endpoint]:
+def make_bus_endpoints() -> dict[Role, _BusEndpoint]:
     """In-process backend: one FIFO queue per directed pair, shared close flag."""
     queues = {
         (s, r): queue.Queue() for s in Role for r in Role if s != r
@@ -274,7 +261,7 @@ def read_frame(sock: socket.socket) -> bytearray:
     return frame
 
 
-class _TcpEndpoint(Endpoint):
+class _TcpEndpoint:
     def __init__(self, role: Role, peers: dict[Role, socket.socket]):
         self.role = role
         self._peers = peers
@@ -330,7 +317,7 @@ def _read_hello(sock: socket.socket) -> Role:
     return Role(role)
 
 
-def make_tcp_endpoints(listen: dict[Role, tuple[str, int]] | None = None) -> dict[Role, Endpoint]:
+def make_tcp_endpoints(listen: dict[Role, tuple[str, int]] | None = None) -> dict[Role, _TcpEndpoint]:
     """Loopback TCP backend: one connection per ``DIALS`` row.
 
     The listening roles bind first; every dial then completes into its
@@ -346,11 +333,8 @@ def make_tcp_endpoints(listen: dict[Role, tuple[str, int]] | None = None) -> dic
     peers: dict[Role, dict[Role, socket.socket]] = {role: {} for role in Role}
     try:
         for role, backlog in LISTENERS.items():
-            listeners[role] = lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            lsock.bind(listen.get(role, ("127.0.0.1", 0)))
-            lsock.listen(backlog)
-            lsock.settimeout(CONNECT_TIMEOUT_S)
+            listeners[role] = socket.create_server(listen.get(role, ("127.0.0.1", 0)), backlog=backlog)
+            listeners[role].settimeout(CONNECT_TIMEOUT_S)
         for dialer, listener in DIALS:
             sock = socket.create_connection(listeners[listener].getsockname(), CONNECT_TIMEOUT_S)
             conns.append(sock)

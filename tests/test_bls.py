@@ -126,6 +126,11 @@ class TestMappedFeatures:
         with pytest.raises(ValueError):
             mapped_features_simplified(np.ones((2, 3)), np.ones((4, 5)), np.eye(5))
 
+    def test_scalar_bias_row_rejected(self):
+        # A (1, 1) bias would broadcast over every column of a wider group.
+        with pytest.raises(ValueError, match="^group 0: bias row must be 1x3$"):
+            classic_mapped_features([[1.0, 2.0]], [(np.ones((2, 3)), np.zeros((1, 1)))])
+
 
 class TestEnhancement:
     def test_zero_input_zero_output_tanh(self):

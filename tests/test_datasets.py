@@ -63,6 +63,13 @@ class TestIdx:
         assert np.array_equal(ds.x, [[0.0, 1.0, 0.0, 1.0]])
         assert ds.labels[0] == 7
 
+    def test_non_square_width_rejected_before_any_file_is_written(self, tmp_path):
+        ds = LabeledDataset(x=np.ones((2, 5)), labels=[0, 1], num_classes=2, name="toy")
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        with pytest.raises(ValueError, match="^feature count 5 is not a square image$"):
+            write_idx(ds, images, labels)
+        assert not images.exists() and not labels.exists()
+
     def test_bad_image_magic(self, tmp_path):
         with open(tmp_path / "imgs", "wb") as f:
             f.write(struct.pack(">IIII", 0xDEADBEEF, 1, 2, 2) + bytes(4))
@@ -187,6 +194,17 @@ class TestSplitNonIid:
         assert np.array_equal(b.x, ds.x[order[n_a:]])
 
 
+class TestLabeledDatasetRejectsBadInput:
+    @pytest.mark.parametrize("x, labels, error", [
+        (np.ones(4), [0, 1, 0, 1], r"^features must be 2-D, got shape \(4,\)$"),
+        (np.ones((3, 4)), [0, 1], "^3 rows but 2 labels$"),
+        (np.ones((2, 4)), [0, 2], "^labels out of range$"),
+    ], ids=["1-D", "label-count", "label-range"])
+    def test_rejected(self, x, labels, error):
+        with pytest.raises(ValueError, match=error):
+            LabeledDataset(x=x, labels=labels, num_classes=2, name="toy")
+
+
 class TestOneHot:
     def test_identity_case(self):
         assert np.array_equal(one_hot([0, 1], 2), np.eye(2))
@@ -201,6 +219,10 @@ class TestOneHot:
         encoded = one_hot(labels, 7)
         assert np.array_equal(np.argmax(encoded, axis=1), labels)
         assert np.array_equal(encoded.sum(axis=1), np.ones(len(labels)))
+
+    def test_two_dimensional_labels_rejected(self):
+        with pytest.raises(ValueError, match="^labels must be 1-D$"):
+            one_hot([[0, 1]], 2)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -217,6 +239,10 @@ class TestSplitPlan:
             SplitPlan.parse("thirds")
         with pytest.raises(ValueError):
             SplitPlan(mode="quantity", ratio_a=1.0)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="^unknown split mode 'random'$"):
+            SplitPlan(mode="random")
 
 
 class TestRealIdxFiles:

@@ -38,7 +38,7 @@ from msbls.experiment import (
     run_single_party,
     summary_table,
 )
-from msbls.linalg import RngStream
+from msbls.linalg import RngStream, SolverError
 
 SMALL_HYPER = BlsHyperParams(map_groups=2, map_dim=6, enh_groups=1, enh_dim=40, seed=0)
 
@@ -340,6 +340,16 @@ class TestCli:
         assert result.exit_code == 0, result.output
         (record,) = [json.loads(l) for l in result.output.splitlines() if l.startswith("{")]
         assert (record["message_count"], record["config"]["transport"]) == (12, "tcp")
+
+    def test_listen_naming_a_role_twice_is_a_usage_error(self):
+        result = CliRunner().invoke(
+            main,
+            ["--train-size", "200", "--test-size", "40", "--baselines", "msbls", "--transport", "tcp",
+             "--listen", "server=127.0.0.1:0", "--listen", "server=127.0.0.1:1"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "Usage:" in result.output
+        assert "role 'server' is given more than once" in result.output
 
     def test_listen_without_an_address_is_a_usage_error(self):
         result = CliRunner().invoke(main, ["--transport", "tcp", "--listen", "server"])
@@ -806,6 +816,24 @@ class TestRepeatedBaselineAndNegativeSeedRejected:
         assert result.output == message
 
 
+class TestOutDirectoryCheckedFirst:
+    def test_missing_out_directory_ends_before_any_data(self, monkeypatch, tmp_path):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data was built")
+
+        monkeypatch.setattr(experiment, "synthetic_desk_dataset", no_data)
+        out = tmp_path / "missing" / "m.jsonl"
+        result = CliRunner().invoke(
+            main,
+            ["--train-size", "200", "--test-size", "50", "--n", "2", "--dz", "4",
+             "--dh", "20", "--baselines", "nbls", "--out", str(out)],
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == f"error: out {str(out)!r}: no such directory\n"
+        assert not out.parent.exists()
+
+
 class TestInputErrorsEndCleanly:
     """Bad IDX files and split requests end with exit 1 and an error naming
     the cause; bad IDX files before any runner starts."""
@@ -939,6 +967,20 @@ class TestSingularGramNamesItsCause:
             r"use a larger --lambda\n",
             result.output,
         ), result.output
+
+    def test_narrow_mapped_width_reraises_the_solver_error_unchanged(self):
+        # 60 identical rows leave the Gram matrix singular at a ridge of 1e-300,
+        # though the mapped width (4) is within the input width + 1 (6).
+        flat = LabeledDataset(x=np.full((60, 5), 0.5), labels=np.arange(60) % 2,
+                              num_classes=2, name="flat")
+        hyper = BlsHyperParams(map_groups=2, map_dim=2, enh_dim=30, ridge=1e-300)
+        with pytest.raises(SolverError) as failure:
+            run_non_privacy(flat, flat, small_config(hyper=hyper, baselines=("nbls",)), seed=0)
+        assert re.fullmatch(
+            r"positive-definite factorization failed: \d+-th leading minor .*", str(failure.value)
+        ), failure.value
+        assert "mapped width" not in str(failure.value)
+        assert not isinstance(failure.value.__cause__, SolverError)
 
     def test_larger_ridge_solves(self):
         result = CliRunner().invoke(main, [*self.ARGS, "--lambda", "1e-4"])

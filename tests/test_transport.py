@@ -147,6 +147,16 @@ class TestFrameCodec:
             ProtocolMessage(b"short", 1, Role.SERVER, Role.CLIENT_A,
                             MessageKind.DATA_MASK, (np.ones((1, 1)),))
 
+    @pytest.mark.parametrize("payload, error", [
+        (np.ones((2, 2), dtype=np.float32), "payloads must be 2-D float64 arrays"),
+        (np.ones(3), "payloads must be 2-D float64 arrays"),
+        (np.ones((0, 3)), r"payload dimensions must be positive, got \(0, 3\)"),
+    ], ids=["float32", "1-D", "zero-rows"])
+    def test_message_rejects_a_payload_of_the_wrong_kind(self, payload, error):
+        with pytest.raises(ValueError, match=error):
+            ProtocolMessage(SID, 3, Role.CLIENT_A, Role.CLIENT_B,
+                            MessageKind.BLINDED_DATA, (payload,))
+
     @pytest.mark.parametrize("offset, value", [
         (23, b"\x09"),  # sender: no such role
         (25, b"\x09"),  # kind: no such kind
@@ -268,6 +278,15 @@ class TestTcp:
         finally:
             for ep in endpoints.values():
                 ep.close()
+
+    def test_send_on_a_closed_endpoint_raises_transport_closed(self):
+        endpoints = make_tcp_endpoints()
+        for ep in endpoints.values():
+            ep.close()
+        m = msg([[[1.0]]], seq=1, sender=Role.SERVER, receiver=Role.CLIENT_A,
+                kind=MessageKind.DATA_MASK)
+        with pytest.raises(TransportClosed, match="^send failed: "):
+            endpoints[Role.SERVER].send(m)
 
     @pytest.mark.parametrize("role", [Role.SERVER, Role.CLIENT_A])
     def test_busy_listen_address_fails_setup_and_closes_every_socket(self, role):
@@ -448,6 +467,32 @@ class TestReadFrame:
                 dripper.join()
             assert a.gettimeout() == 0.3
         assert elapsed < 2 * 0.3
+
+    def test_late_byte_past_the_deadline_times_out_and_restores_the_timeout(self):
+        frame = encode_message(msg([[[1.0]]]))
+
+        class LateSocket:
+            """Hands over one byte per recv_into, 0.05 s late whatever its timeout."""
+
+            def __init__(self):
+                self.timeout, self.sent = 0.02, 0
+
+            def gettimeout(self):
+                return self.timeout
+
+            def settimeout(self, timeout):
+                self.timeout = timeout
+
+            def recv_into(self, view):
+                time.sleep(0.05)
+                view[0] = frame[self.sent]
+                self.sent += 1
+                return 1
+
+        sock = LateSocket()
+        with pytest.raises(TransportTimeout, match="^frame not complete within the receive timeout$"):
+            transport.read_frame(sock)
+        assert (sock.sent, sock.gettimeout()) == (1, 0.02)
 
     def test_frame_larger_than_the_socket_buffers_arrives_whole(self):
         rng = np.random.default_rng(6)
