@@ -88,9 +88,10 @@ class SplitPlan:
             raise ValueError(f"ratio_a must be in (0, 1), got {self.ratio_a}")
 
     def describe(self) -> str:
-        if self.mode == "quantity":
-            return f"quantity:{self.ratio_a:g}"
-        return "noniid"
+        """The plan as ``--split`` spells it, plus ``,seed=N`` for a nonzero
+        plan seed, so that runs under different plan seeds read apart."""
+        text = f"quantity:{self.ratio_a:g}" if self.mode == "quantity" else "noniid"
+        return f"{text},seed={self.seed}" if self.seed else text
 
     @staticmethod
     def parse(text: str) -> "SplitPlan":
@@ -137,23 +138,31 @@ def _read_idx(path, magic: int, what: str, body: str):
     return dims, np.frombuffer(raw, dtype=np.uint8, count=n, offset=head)
 
 
+def _read_idx_pair(images_path, labels_path):
+    """(uint8 pixels, one row per image; int64 labels; class count) of an
+    IDX pair."""
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", "pixels")
+    (label_count,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", "labels")
+    if count != label_count:
+        raise ValueError(f"count mismatch: {count} images vs {label_count} labels")
+    num_classes = int(labels.max()) + 1 if labels.size else 0
+    return pixels.reshape(count, rows * cols), labels.astype(np.int64), num_classes
+
+
+def _idx_dataset(pixels, labels, num_classes: int, name: str) -> LabeledDataset:
+    """Pixels scaled into [0, 1] by dividing by 255."""
+    return LabeledDataset(
+        x=pixels.astype(np.float64) / 255.0, labels=labels, num_classes=num_classes, name=name,
+    )
+
+
 def load_idx(images_path, labels_path, name: str | None = None) -> LabeledDataset:
     """Load an IDX image/label file pair, gzip-compressed or raw.
 
     Pixels are flattened row-major and scaled into [0, 1] by dividing by 255.
     """
-    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", "pixels")
-    (label_count,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", "labels")
-    if count != label_count:
-        raise ValueError(f"count mismatch: {count} images vs {label_count} labels")
-    x = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
-    labels = labels.astype(np.int64)
-    return LabeledDataset(
-        x=x,
-        labels=labels,
-        num_classes=int(labels.max()) + 1 if labels.size else 0,
-        name=name or Path(images_path).stem,
-    )
+    pixels, labels, num_classes = _read_idx_pair(images_path, labels_path)
+    return _idx_dataset(pixels, labels, num_classes, name or Path(images_path).stem)
 
 
 def write_idx(ds: LabeledDataset, images_path, labels_path):
@@ -275,15 +284,18 @@ def find_idx_pair(data_dir, split: str):
 
 def load_idx_subset(train_pair, test_pair, train_n: int, test_n: int):
     """(train, test): the ``DESK_SUBSET_SEED`` subset of ``train_n``/``test_n``
-    rows of two IDX (images, labels) pairs, named ``idx-train``/``idx-test``."""
+    rows of two IDX (images, labels) pairs, named ``idx-train``/``idx-test``.
+    Only the drawn rows are scaled to float64; ``num_classes`` counts the
+    classes of each whole label file, as ``load_idx`` does."""
     rng = np.random.Generator(np.random.PCG64(DESK_SUBSET_SEED))
     out = []
     sides = ((train_pair, train_n, "idx-train"), (test_pair, test_n, "idx-test"))
-    for (images, labels), n, name in sides:
-        ds = load_idx(images, labels, name=name)
-        if not 1 <= n <= len(ds):
-            raise ValueError(f"{name} size {n} is outside 1..{len(ds)}, the rows in {images}")
-        out.append(ds.take(np.sort(rng.choice(len(ds), n, replace=False))))
+    for (images, labels_path), n, name in sides:
+        pixels, labels, num_classes = _read_idx_pair(images, labels_path)
+        if not 1 <= n <= len(labels):
+            raise ValueError(f"{name} size {n} is outside 1..{len(labels)}, the rows in {images}")
+        rows = np.sort(rng.choice(len(labels), n, replace=False))
+        out.append(_idx_dataset(pixels[rows], labels[rows], num_classes, name))
     train, test = out
     if train.x.shape[1] != test.x.shape[1]:
         raise ValueError(

@@ -12,16 +12,20 @@ import numpy as np
 
 SESSION_ID_BYTES = 16
 
-# The v1 wire frame, all big-endian: FRAME_HEADER (magic, version, session_id,
-# seq, sender, receiver, kind, payload count); per payload FRAME_DIMS (rows,
-# cols) and rows*cols WIRE_FLOAT entries, row-major; FRAME_CRC, the CRC32 of
-# every preceding frame byte.
+# The v2 wire frame: FRAME_HEADER (magic, version, session_id, seq, sender,
+# receiver, kind, payload count); per payload FRAME_DIMS (rows, cols) and
+# rows*cols WIRE_FLOAT entries, row-major; FRAME_CRC, the CRC32 of every
+# preceding frame byte. The header, dims and checksum are big-endian; the
+# entries are little-endian doubles, so a little-endian host sends and
+# receives them without a byte swap. Every payload's entries start at a frame
+# offset of 35 (mod 8): the header is 27 bytes, and each payload adds 8 bytes
+# of dims before its entries and a whole number of doubles after them.
 MAGIC = b"MSBL"
-VERSION = 1
+VERSION = 2
 FRAME_HEADER = struct.Struct(f">4sB{SESSION_ID_BYTES}sHBBBB")
 FRAME_DIMS = struct.Struct(">II")
 FRAME_CRC = struct.Struct(">I")
-WIRE_FLOAT = np.dtype(">f8")
+WIRE_FLOAT = np.dtype("<f8")
 # The largest payload a frame may carry, in entry bytes (rows*cols*8). A
 # receiver allocates a payload's buffer from its declared dims, so dims over
 # this bound reject the frame before anything is read or allocated. A desk

@@ -1,19 +1,23 @@
 """Message delivery over two interchangeable backends.
 
-Over TCP a message travels as one v1 wire frame, whose layout the ``FRAME_*``
-structs in ``messages.py`` define. One walker, ``_walk_frame``, reads a frame
-for both ``read_frame`` (off a socket) and ``decode_message`` (from bytes): it
-checks the header before any dims, and each payload's dims, including the
-``MAX_PAYLOAD_BYTES`` bound, before it reads the entries they announce.
-``read_frame`` receives with ``recv_into`` straight into the one buffer it
-returns, sized from the declared dims, so a one-payload frame is allocated
-once and none of its payload bytes is copied on the way; the whole frame must
-arrive within the socket's timeout. Frames round-trip bit-exactly for finite
-matrices; bad magic, bad version, oversized dims, truncation or checksum
-mismatch reject the frame without state change. Each backend gives every role
-an endpoint with ``role``, ``send(msg)``, ``recv(sender, timeout)`` and
-``close()``. Delivery is FIFO per directed (sender, receiver) pair; ``recv``
-raises TransportTimeout if nothing comes in time, TransportClosed once closed.
+Over TCP a message travels as one v2 wire frame, whose layout the ``FRAME_*``
+structs in ``messages.py`` define. ``encode_message`` joins the packed header,
+dims and checksum with each payload's own memory in one copy. One walker,
+``_walk_frame``, reads a frame for both ``read_frame`` (off a socket) and
+``decode_message`` (from bytes): it checks the header before any dims, and
+each payload's dims, including the ``MAX_PAYLOAD_BYTES`` bound, before it
+reads the entries they announce. ``read_frame`` receives with ``recv_into``
+straight into the one buffer it returns, sized from the declared dims and
+offset so that every payload's entries are 8-byte aligned; ``decode_message``
+then returns the payloads as float64 views of that buffer, so a one-payload
+frame is allocated once and none of its payload bytes is copied on the way.
+The whole frame must arrive within the socket's timeout. Frames round-trip
+bit-exactly for finite matrices; bad magic, an unsupported version (v1
+included), oversized dims, truncation or checksum mismatch reject the frame
+without state change. Each backend gives every role an endpoint with
+``role``, ``send(msg)``, ``recv(sender, timeout)`` and ``close()``. Delivery
+is FIFO per directed (sender, receiver) pair; ``recv`` raises
+TransportTimeout if nothing comes in time, TransportClosed once closed.
 """
 
 from __future__ import annotations
@@ -78,24 +82,24 @@ class TransportClosed(ConnectionError):
     """The channel was closed while sending or receiving."""
 
 
-def encode_message(msg: ProtocolMessage) -> bytearray:
-    """Serialize a message into one self-delimiting frame, writing each
-    payload's big-endian doubles once, straight into the frame buffer."""
-    frame = bytearray(msg.encoded_size)
-    FRAME_HEADER.pack_into(
-        frame, 0, MAGIC, VERSION, msg.session_id, msg.seq,
+def encode_message(msg: ProtocolMessage) -> bytes:
+    """Serialize a message into one self-delimiting frame. Each payload's
+    entries are taken from its own memory (converted only if it is not
+    C-contiguous little-endian) and copied once, when the parts are joined;
+    the checksum is folded over the same parts."""
+    parts = [FRAME_HEADER.pack(
+        MAGIC, VERSION, msg.session_id, msg.seq,
         int(msg.sender), int(msg.receiver), int(msg.kind), len(msg.payloads),
-    )
-    offset = FRAME_HEADER.size
+    )]
     for p in msg.payloads:
         if not np.all(np.isfinite(p)):
             raise FrameError("cannot encode non-finite payload")
-        FRAME_DIMS.pack_into(frame, offset, *p.shape)
-        offset += FRAME_DIMS.size
-        np.frombuffer(frame, WIRE_FLOAT, p.size, offset).reshape(p.shape)[...] = p
-        offset += p.size * WIRE_FLOAT.itemsize
-    FRAME_CRC.pack_into(frame, offset, zlib.crc32(memoryview(frame)[:offset]))
-    return frame
+        parts += (FRAME_DIMS.pack(*p.shape), np.ascontiguousarray(p, WIRE_FLOAT))
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(FRAME_CRC.pack(crc))
+    return b"".join(parts)
 
 
 def _walk_frame(read) -> tuple[list, list, int]:
@@ -104,7 +108,7 @@ def _walk_frame(read) -> tuple[list, list, int]:
     checked before any dims are read, and each payload's dims, within
     MAX_PAYLOAD_BYTES, before its entries. Returns the header fields
     [session_id, seq, sender, receiver, kind, count], the payloads as
-    big-endian views and the frame's checksum."""
+    ``WIRE_FLOAT`` views of what ``read`` returned and the frame's checksum."""
     header = read(FRAME_HEADER.size, "incomplete header")
     magic, version, *fields = FRAME_HEADER.unpack(header)
     if magic != MAGIC:
@@ -128,8 +132,12 @@ def _walk_frame(read) -> tuple[list, list, int]:
     return fields, payloads, crc
 
 
-def decode_message(data: bytes) -> ProtocolMessage:
-    """Inverse of encode_message; raises FrameError on any malformed frame."""
+def decode_message(data) -> ProtocolMessage:
+    """Inverse of encode_message; raises FrameError on any malformed frame.
+
+    A payload whose entries lie aligned in writable memory, as every payload
+    of a frame from ``read_frame`` does, is returned as a float64 view of
+    ``data``; any other, say from ``bytes``, as an owned copy."""
     view = memoryview(data)
     end = 0
 
@@ -152,8 +160,9 @@ def decode_message(data: bytes) -> ProtocolMessage:
             sender=Role(sender),
             receiver=Role(receiver),
             kind=MessageKind(kind),
-            # Owned, writable native copies: a party zeroizes what it holds.
-            payloads=tuple(p.astype(np.float64) for p in payloads),
+            # Writable: a party zeroizes what it holds, and for a view of a
+            # received frame that wipes the only copy.
+            payloads=tuple(np.require(p, np.float64, ("ALIGNED", "WRITEABLE")) for p in payloads),
         )
     except ValueError as exc:
         raise FrameError(f"invalid message fields: {exc}") from exc
@@ -232,33 +241,40 @@ def _recv_into(sock: socket.socket, view: memoryview, deadline: float | None) ->
         sock.settimeout(timeout)
 
 
-def read_frame(sock: socket.socket) -> bytearray:
-    """Read exactly one frame off a stream socket and return its bytes; a bad
-    header or dims raise FrameError before the bytes they announce are read.
+# Leading pad bytes in read_frame's buffer: every payload's entries start at
+# a frame offset of 35 (mod 8), so this one pad aligns all of them.
+_ALIGN_PAD = -(FRAME_HEADER.size + FRAME_DIMS.size) % WIRE_FLOAT.itemsize
 
-    The frame lands in one buffer, which grows only when the walker announces
-    a payload: the header and dims are copied across then, and a payload's
-    entries are received in place with ``recv_into``. Spare room left for
-    the next dims or checksum is trimmed in place at the end. The whole
-    frame must arrive within the socket's timeout, counted from the call."""
+
+def read_frame(sock: socket.socket) -> memoryview:
+    """Read exactly one frame off a stream socket and return a writable view
+    of exactly its bytes; a bad header or dims raise FrameError before the
+    bytes they announce are read.
+
+    The frame lands in one numpy buffer (numpy asks for huge pages for a
+    large one and does not zero it), after ``_ALIGN_PAD`` bytes that put
+    every payload's entries on an 8-byte boundary. The buffer grows only
+    when the walker announces a payload: the bytes so far are copied across
+    then, and the payload's entries are received in place with
+    ``recv_into``. The whole frame must arrive within the socket's timeout,
+    counted from the call."""
     deadline = _deadline(sock)
-    frame = bytearray()
-    end = 0
+    buf = np.empty(_ALIGN_PAD + FRAME_HEADER.size + FRAME_DIMS.size, np.uint8)
+    end = _ALIGN_PAD
 
     def read(n: int, what: str) -> memoryview:
-        nonlocal frame, end
-        if end + n > len(frame):
-            grown = bytearray(end + n + FRAME_DIMS.size)
-            grown[:end] = memoryview(frame)[:end]
-            frame = grown
-        view = memoryview(frame)[end : end + n]
+        nonlocal buf, end
+        if end + n > buf.size:
+            grown = np.empty(end + n + FRAME_DIMS.size, np.uint8)
+            grown[:end] = buf[:end]
+            buf = grown
+        view = memoryview(buf)[end : end + n]
         _recv_into(sock, view, deadline)
         end += n
         return view
 
     _walk_frame(read)
-    del frame[end:]
-    return frame
+    return memoryview(buf)[_ALIGN_PAD:end]
 
 
 class _TcpEndpoint:

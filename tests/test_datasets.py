@@ -1,5 +1,6 @@
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
 from msbls.datasets import (
+    DESK_SUBSET_SEED,
     IDX_IMAGE_MAGIC,
     IDX_LABEL_MAGIC,
     LabeledDataset,
@@ -244,6 +246,12 @@ class TestSplitPlan:
         with pytest.raises(ValueError, match="^unknown split mode 'random'$"):
             SplitPlan(mode="random")
 
+    def test_describe_names_a_nonzero_plan_seed(self):
+        assert SplitPlan().describe() == "quantity:0.5"
+        assert SplitPlan(mode="non_iid").describe() == "noniid"
+        assert SplitPlan(ratio_a=0.3, seed=7).describe() == "quantity:0.3,seed=7"
+        assert SplitPlan(mode="non_iid", seed=7).describe() == "noniid,seed=7"
+
 
 class TestRealIdxFiles:
     """Exercised only when MSBLS_DATA_DIR points at real IDX files."""
@@ -398,6 +406,42 @@ class TestIdxHeaderAndWidths:
             f.write(struct.pack(">II", IDX_LABEL_MAGIC, 1000) + bytes(1))
         with pytest.raises(ValueError, match="truncated IDX file.*1000 bytes of labels"):
             load_idx(tmp_path / "imgs", tmp_path / "lbls")
+
+    def test_subset_scales_only_the_drawn_rows(self, tmp_path):
+        # A 20,000-row MNIST-shaped file, used as both pairs. Scaling the whole
+        # file to float64 would take 125 MB; the 1000 + 100 drawn rows take 6.9 MB.
+        n, side = 20000, 28
+        rng = np.random.default_rng(4)
+        full = LabeledDataset(
+            x=rng.integers(0, 256, (n, side * side), dtype=np.uint8) / 255.0,
+            labels=rng.integers(0, 10, n), num_classes=10, name="big",
+        )
+        pair = (tmp_path / "imgs", tmp_path / "lbls")
+        write_idx(full, *pair)
+        del full
+        tracemalloc.start()
+        try:
+            got = load_idx_subset(pair, pair, 1000, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * side * side * 8 / 2
+        # Bit-identical to drawing the rows from the whole scaled file.
+        whole = load_idx(*pair)
+        draw = np.random.Generator(np.random.PCG64(DESK_SUBSET_SEED))
+        for ds, rows in zip(got, (1000, 100)):
+            want = whole.take(np.sort(draw.choice(n, rows, replace=False)))
+            assert ds.x.tobytes() == want.x.tobytes()
+            assert np.array_equal(ds.labels, want.labels)
+            assert ds.num_classes == whole.num_classes
+
+    def test_subset_counts_the_classes_of_the_whole_label_file(self, tmp_path):
+        # Only the first row has class 4, and each side draws one other row.
+        pair = (tmp_path / "imgs", tmp_path / "lbls")
+        write_idx(toy_dataset([4, 0, 1, 0, 1, 0], side=2), *pair)
+        train, test = load_idx_subset(pair, pair, 1, 1)
+        assert 4 not in train.labels and 4 not in test.labels
+        assert train.num_classes == test.num_classes == 5
 
     def test_train_and_test_widths_must_agree(self, tmp_path):
         pairs = []

@@ -9,7 +9,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -44,12 +44,14 @@ class TestFrameCodec:
     def test_zero_scalar_payload_layout(self):
         raw = encode_message(msg([[[0.0]]]))
         assert raw[:4] == b"MSBL"
-        assert raw[4] == 1
+        assert raw[4] == 2
         # header(27) | rows(4) cols(4) | one zero double | crc(4)
         assert len(raw) == 27 + 8 + 8 + 4
         rows, cols = struct.unpack(">II", raw[27:35])
         assert (rows, cols) == (1, 1)
         assert raw[35:43] == b"\x00" * 8
+        # Entries are little-endian doubles: 1.0 is 0x3FF0000000000000.
+        assert encode_message(msg([[[1.0]]]))[35:43] == b"\x00" * 6 + b"\xf0\x3f"
 
     def test_round_trip_random_payload(self):
         rng = np.random.default_rng(0)
@@ -540,3 +542,124 @@ class TestReadFrame:
                 sender.join()
         assert raw == frame
         assert peak <= 1.01 * len(frame)
+
+
+def frame_through_a_socket(frame) -> memoryview:
+    """``frame`` read back by read_frame off a socketpair."""
+    a, b = socket.socketpair()
+    with a, b:
+        a.settimeout(2.0)
+        b.sendall(frame)
+        return transport.read_frame(a)
+
+
+def as_version(frame, version: int) -> bytes:
+    """``frame`` with its version byte replaced and its checksum recomputed."""
+    raw = bytearray(frame)
+    raw[4] = version
+    struct.pack_into(">I", raw, len(raw) - 4, zlib.crc32(raw[:-4]))
+    return bytes(raw)
+
+
+def same_message(a: ProtocolMessage, b: ProtocolMessage) -> bool:
+    fields = ("session_id", "seq", "sender", "receiver", "kind")
+    return all(getattr(a, f) == getattr(b, f) for f in fields) and [
+        (p.shape, p.tobytes()) for p in a.payloads
+    ] == [(p.shape, p.tobytes()) for p in b.payloads]
+
+
+def mutate(frame: bytes, mutation) -> bytes:
+    what, *args = mutation
+    if what == "flip":
+        index, mask = args
+        raw = bytearray(frame)
+        raw[index] ^= mask
+        return bytes(raw)
+    if what == "truncate":
+        return frame[: args[0]]
+    return frame + args[0]
+
+
+def mutations(length: int):
+    """One flipped byte, a cut to a strictly shorter length, or extra bytes."""
+    return st.one_of(
+        st.tuples(st.just("flip"), st.integers(0, length - 1), st.integers(1, 255)),
+        st.tuples(st.just("truncate"), st.integers(0, length - 1)),
+        st.tuples(st.just("extend"), st.binary(min_size=1, max_size=9)),
+    )
+
+
+small_payloads = st.lists(
+    arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 3)), elements=finite_f64),
+    min_size=1, max_size=2,
+)
+
+
+class TestV2Frame:
+    """Little-endian entries, version 2 only, and payloads received in place."""
+
+    def test_version_1_frame_is_rejected_by_both_readers(self):
+        v1 = as_version(encode_message(msg([np.ones((2, 2))])), 1)
+        with pytest.raises(FrameError, match="^unsupported version 1$"):
+            decode_message(v1)
+        with pytest.raises(FrameError, match="^unsupported version 1$"):
+            frame_through_a_socket(v1)
+
+    def test_version_1_hello_fails_setup_and_closes_every_socket(self, monkeypatch):
+        def v1_hello(sock, role):
+            sock.sendall(transport._HELLO.pack(transport.MAGIC, 1, int(role)))
+
+        monkeypatch.setattr(transport, "_hello", v1_hello)
+        baseline = threading.active_count()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TransportClosed, match="^tcp setup failed: bad connection hello$"):
+                make_tcp_endpoints()
+            gc.collect()
+        assert [str(w.message) for w in caught] == []
+        assert threading.active_count() == baseline
+
+    def test_payloads_from_read_frame_are_aligned_writable_views_of_the_frame(self):
+        rng = np.random.default_rng(8)
+        m = msg([rng.standard_normal((3, 5)), rng.standard_normal((4, 5))],
+                seq=2, sender=Role.SERVER, receiver=Role.CLIENT_B, kind=MessageKind.KEY_MASKS)
+        raw = frame_through_a_socket(encode_message(m))
+        frame = np.frombuffer(raw, np.uint8)
+        got = decode_message(raw).payloads
+        for sent, p in zip(m.payloads, got):
+            assert p.dtype == np.float64 and p.flags.aligned and p.flags.writeable
+            assert np.shares_memory(p, frame)
+            assert p.tobytes() == sent.tobytes()
+        # Zeroizing a held payload, as Party.zeroize does, wipes the frame bytes
+        # that carried it and leaves the other payload's bytes alone.
+        start = 27 + 8
+        stop = start + got[0].nbytes
+        got[0].fill(0.0)
+        assert not frame[start:stop].any()
+        assert frame[stop + 8 : stop + 8 + got[1].nbytes].tobytes() == m.payloads[1].tobytes()
+
+    def test_payloads_decoded_from_bytes_own_their_data(self):
+        rng = np.random.default_rng(9)
+        m = msg([rng.standard_normal((3, 5)), rng.standard_normal((4, 5))])
+        for p in decode_message(encode_message(m)).payloads:
+            assert p.flags.owndata and p.flags.writeable and p.dtype == np.float64
+
+    @settings(max_examples=150)
+    @given(payloads=small_payloads, data=st.data())
+    def test_mutated_frame_decodes_unchanged_or_is_rejected(self, payloads, data):
+        m = msg(payloads)
+        frame = encode_message(m)
+        mutated = mutate(frame, data.draw(mutations(len(frame))))
+        try:
+            assert same_message(decode_message(mutated), m)
+        except FrameError:
+            pass
+        a, b = socket.socketpair()
+        with a:
+            a.settimeout(2.0)
+            with b:
+                b.sendall(mutated)  # the peer then closes
+            try:
+                assert same_message(decode_message(transport.read_frame(a)), m)
+            except (FrameError, TransportClosed):
+                pass
