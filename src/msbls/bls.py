@@ -159,26 +159,34 @@ def joint_mapped_features(x_a, x_b, key_a, key_b, mix_key) -> np.ndarray:
     )
 
 
-def enhancement_features(zn, keys, activation: str = "tanh") -> np.ndarray:
+def enhancement_features(zn, keys, activation: str = "tanh",
+                         health: dict | None = None) -> np.ndarray:
     """Activated random combinations of the mapped features.
 
     Each key is a (weights, bias_row) pair; outputs lie in (-1, 1) for tanh
     and (0, 1) for sigmoid, up to float64 saturation at the bounds. Each
     group is computed in place in its column block of the one output array,
-    bit-identical to ``np.hstack([act(zn @ w + b) for w, b in keys])``.
+    bit-identical to ``np.hstack([act(zn @ w + b) for w, b in keys])``. If
+    ``health`` is a dict, it gets the rows' peak |pre-activation| over
+    ``SHRINKAGE`` under ``"preact_ratio"``: above 1, the rows leave the
+    range that the shrinkage scale was fitted on.
     """
     zn = as_matrix(zn, "Zn")
     act = ACTIVATIONS[activation]
     if not keys:
         raise ValueError("at least one enhancement key is required")
     out = np.empty((zn.shape[0], sum(weights.shape[1] for weights, _ in keys)))
-    end = 0
+    end, peak = 0, 0.0
     for weights, bias_row in keys:
         block = out[:, end : end + weights.shape[1]]
         end += weights.shape[1]
         np.matmul(zn, weights, out=block)
         block += bias_row
+        if health is not None:
+            peak = max(peak, block.max(), -block.min())
         act(block, out=block)
+    if health is not None:
+        health["preact_ratio"] = float(peak / SHRINKAGE)
     return out
 
 

@@ -80,7 +80,9 @@ def _parse_role_addr(ctx, param, values):
 @click.option("--listen", multiple=True, callback=_parse_role_addr,
               help=f"ROLE=HOST:PORT listen address ({TRANSPORTS[-1]} transport; repeatable).")
 @click.option("--mask-range", type=float, default=ExperimentConfig.mask_range, show_default=True,
-              help="Masks are drawn uniformly from (-range, range).")
+              help="Masks are drawn uniformly from (-range, range). A larger range hides "
+                   "more of each entry, but the masked features' relative error grows as "
+                   "range^2; the default keeps it about 18x below 1e-8.")
 @click.option("--zero-masks", is_flag=True,
               help="Debug mode: disable masking (protocol output equals the "
                    "pooled pipeline bit for bit).")

@@ -52,9 +52,6 @@ _STREAMS = (
     "single_b",
 )
 
-# |H| above this counts as saturated in the report's numerical health.
-SATURATION = 0.999
-
 # The run grid's choice lists: ExperimentConfig checks against them and the
 # CLI offers them. The generated dataset and the socket transport come last.
 DATASETS = ("mnist", "fashion", "synthetic")
@@ -119,8 +116,10 @@ class MetricsReport:
     """One run's metrics. Message/byte counts cover the training-feature
     session; the test-feature session has the same fixed shape.
 
-    Numerical health of the training fit: ``saturated_frac`` is the share of
-    |H| above ``SATURATION``, ``gram_rcond`` the reciprocal condition
+    Numerical health: ``test_preact_ratio`` is the test rows' peak
+    |pre-activation| over ``bls.SHRINKAGE``, above 1 when they leave the
+    range the shrinkage scale was fitted on; of the training fit,
+    ``gram_rcond`` is the reciprocal condition
     estimate of the factorized regularized Gram matrix (the n x n kernel
     when there are fewer rows than features), and ``readout_residual`` is
     ||[Zn | H] W - Y||_F / ||Y||_F.
@@ -135,7 +134,7 @@ class MetricsReport:
     train_time_s: float
     message_count: int
     bytes_on_wire: int
-    saturated_frac: float
+    test_preact_ratio: float
     gram_rcond: float
     readout_residual: float
     rng_algorithm: str = RNG_ALGORITHM
@@ -234,12 +233,13 @@ def _fit_and_evaluate(baseline: str, dataset: str, config: ExperimentConfig, see
     train_pred = np.argmax(scores, axis=1)
     train_time = time.perf_counter() - started
     health["readout_residual"] = float(np.linalg.norm(scores - y) / np.linalg.norm(y))
-    health["saturated_frac"] = np.count_nonzero((hm > SATURATION) | (hm < -SATURATION)) / hm.size
     del hm, scores  # release the training enhancement block before the test rows are mapped
 
     zn_test = features(*test_rows)
     test_labels = np.concatenate([part.labels for part in test_rows])
-    hm_test = bls.enhancement_features(zn_test, enh_keys, hyper.activation)
+    test_health = {}
+    hm_test = bls.enhancement_features(zn_test, enh_keys, hyper.activation, test_health)
+    health["test_preact_ratio"] = test_health["preact_ratio"]
     test_pred = np.argmax(bls.readout_scores(zn_test, hm_test, weights), axis=1)
 
     wire = sessions[0] if sessions else None
@@ -358,7 +358,7 @@ def run_single_party(train: LabeledDataset, test: LabeledDataset, config: Experi
         train_accuracy=(a.train_accuracy + b.train_accuracy) / 2,
         test_accuracy=(a.test_accuracy + b.test_accuracy) / 2,
         train_time_s=a.train_time_s + b.train_time_s,
-        saturated_frac=max(a.saturated_frac, b.saturated_frac),
+        test_preact_ratio=max(a.test_preact_ratio, b.test_preact_ratio),
         gram_rcond=min(a.gram_rcond, b.gram_rcond),
         readout_residual=max(a.readout_residual, b.readout_residual),
     )

@@ -52,7 +52,16 @@ class RngStream:
         return self._gen.standard_normal((rows, cols))
 
     def uniform(self, lo: float, hi: float, rows: int, cols: int) -> np.ndarray:
-        return self._gen.uniform(lo, hi, size=(rows, cols))
+        # Generator.uniform's own arithmetic, lo + (hi - lo) * u, done in place:
+        # the same bits and stream position, without its temporaries.
+        out = self._gen.random((rows, cols))
+        out *= hi - lo
+        out += lo
+        return out
+
+    def words(self, n: int) -> np.ndarray:
+        """``n`` uniform 32-bit words, as uint32."""
+        return self._gen.integers(2**32, size=n, dtype=np.uint32)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)

@@ -11,8 +11,8 @@ without either client revealing its rows or key half and without the server
 ever receiving data or keys unblinded. The off-diagonal blocks need
 interaction; each is produced by one masked pass:
 
-    seq  1  server  -> A       data mask Ra
-    seq  2  server  -> B       key mask Rb_key, cross mask Rb_cross
+    seq  1  server  -> A       seed row of the data mask Ra
+    seq  2  server  -> B       seed rows of the key mask Rb_key and cross mask Rb_cross
     seq  3  A       -> B       Xa_aug + Ra
     seq  4  B       -> A       Kb + Rb_key,  (Xa_aug + Ra) @ Kb + Rb_cross
     seq  5  A       -> server  seq4 product - Ra @ (Kb + Rb_key)
@@ -20,8 +20,11 @@ interaction; each is produced by one masked pass:
     seq 11  A       -> server  Xa_aug @ Ka
     seq 12  B       -> server  Xb_aug @ Kb
 
-The server removes its own masks from seq5/seq10 to recover the two cross
-blocks, then mixes all four blocks with a locally drawn mix key. Exactly 12
+A mask travels as its seed row, and its receiver expands it into the dense
+mask; B takes A's row count from the seq-3 rows, and A takes B's from seq 8.
+The server removes its own masks from seq5/seq10, through one correction per
+pass computed from the same seeds, to recover the two cross blocks, then
+mixes all four blocks with a locally drawn mix key. Exactly 12
 matrix-bearing messages are exchanged for any input size. Any out-of-order,
 malformed, or missing message aborts the session: no features are released
 and every party zeroizes its held matrices.
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -40,7 +44,9 @@ from .bls import (
     BlsHyperParams, assemble_mapped_features, augment, generate_map_key_half, generate_mix_key,
 )
 from .linalg import RngStream, as_matrix
-from .messages import SCHEDULE, ProtocolMessage, Role, new_session_id
+from .messages import (
+    SCHEDULE, SEED_DIMS, SEED_WORDS, MessageKind, ProtocolMessage, Role, new_session_id,
+)
 
 DEFAULT_MASK_RANGE = 1e3
 # Masks are drawn from a span of 2 * mask_range, which must stay finite.
@@ -56,7 +62,8 @@ class ProtocolAbort(RuntimeError):
     """Session failed; carries the aborting role and offending step.
 
     When raised from run_protocol, ``parties`` holds the (already zeroized)
-    party states for post-mortem inspection.
+    party states for post-mortem inspection, and ``elapsed_s`` the seconds
+    from the start of run_protocol to the session's first failure.
     """
 
     def __init__(self, role: Role, seq, reason: str):
@@ -64,12 +71,13 @@ class ProtocolAbort(RuntimeError):
         self.seq = seq
         self.reason = reason
         self.parties: dict | None = None
+        self.elapsed_s: float | None = None
         super().__init__(f"{role.name} aborted at seq {seq}: {reason}")
 
 
 @dataclass
 class MaskSet:
-    """Server-held masks for one directional pass.
+    """One directional pass's masks, as its seed rows expand.
 
     data_mask blinds the data holder's augmented rows, key_mask blinds the
     key holder's key half, cross_mask blinds the masked cross product.
@@ -80,11 +88,52 @@ class MaskSet:
     cross_mask: np.ndarray
 
 
-def draw_mask_set(shapes, rng: RngStream, mask_range: float, zero_masks: bool = False) -> MaskSet:
-    """One pass's masks, ``shapes`` in MaskSet field order: data, key, cross."""
-    if zero_masks:
-        return MaskSet(*(np.zeros(shape) for shape in shapes))
-    return MaskSet(*(rng.uniform(-mask_range, mask_range, *shape) for shape in shapes))
+# The server draws its data masks in blocks of this many rows (1.6 MB at 785
+# columns), so that no dense data mask is allocated on its side.
+CORRECTION_BLOCK_ROWS = 256
+
+
+def seed_row(words, mask_range: float) -> np.ndarray:
+    """A mask's 1 x (SEED_WORDS + 1) seed row: its seed words, then its range."""
+    return np.append(words.astype(np.float64), mask_range)[None, :]
+
+
+def seed_row_error(row) -> str | None:
+    """Why ``row`` is no seed row, or None if it is one."""
+    *words, mask_range = row.ravel()
+    if not all(0 <= w < 2**32 and w.is_integer() for w in words):
+        return "seed words must be integers in [0, 2**32)"
+    if not 0 <= mask_range <= MAX_MASK_RANGE:
+        return f"mask range must be in [0, {MAX_MASK_RANGE!r}], got {mask_range!r}"
+    return None
+
+
+def mask_blocks(row, shape, block_rows: int):
+    """The mask that seed row ``row`` stands for, as (first row, block) pairs
+    of up to ``block_rows`` rows each: uniform in (-range, range) from one
+    stream seeded by the row's 128-bit seed, drawn in row order, or zeros
+    for range 0."""
+    *words, mask_range = row.ravel()
+    stream = RngStream(sum(int(w) << (32 * i) for i, w in enumerate(words)))
+    rows, cols = shape
+    for lo in range(0, rows, block_rows):
+        n = min(block_rows, rows - lo)
+        if mask_range == 0:
+            yield lo, np.zeros((n, cols))
+        else:
+            yield lo, stream.uniform(-mask_range, mask_range, n, cols)
+
+
+def expand_mask(row, shape) -> np.ndarray:
+    """The mask that seed row ``row`` stands for, drawn whole."""
+    ((_, mask),) = mask_blocks(row, shape, shape[0])
+    return mask
+
+
+def draw_mask_set(seed_rows, shapes) -> list[np.ndarray]:
+    """Expand each seed row into its mask of the matching shape. The server
+    and the receiving client expand the same row into the same mask."""
+    return [expand_mask(row, shape) for row, shape in zip(seed_rows, shapes)]
 
 
 # Pure per-step calculations, shared by both directional passes.
@@ -114,9 +163,31 @@ def unblind_cross(masked_cross, blinded_key, data_mask) -> np.ndarray:
     return masked_cross - data_mask @ blinded_key
 
 
-def recover_cross_product(partial, masks: MaskSet) -> np.ndarray:
-    """Server's step: remove the remaining mask terms, leaving data @ key."""
-    return partial - masks.cross_mask + masks.data_mask @ masks.key_mask
+def mask_correction(masks: MaskSet) -> np.ndarray:
+    """The server's share of one pass's recovery: data_mask @ key_mask - cross_mask."""
+    correction = masks.data_mask @ masks.key_mask
+    correction -= masks.cross_mask
+    return correction
+
+
+def seeded_correction(seed_rows, shapes) -> np.ndarray:
+    """``mask_correction`` of the masks that one pass's seed rows stand for,
+    without the dense data mask: it is drawn CORRECTION_BLOCK_ROWS rows at a
+    time, and each block is wiped once folded in, as are the other masks."""
+    key_mask, cross_mask = draw_mask_set(seed_rows[1:], shapes[1:])
+    correction = np.empty_like(cross_mask)
+    for lo, data_block in mask_blocks(seed_rows[0], shapes[0], CORRECTION_BLOCK_ROWS):
+        rows = slice(lo, lo + len(data_block))
+        correction[rows] = mask_correction(MaskSet(data_block, key_mask, cross_mask[rows]))
+        data_block.fill(0.0)
+    key_mask.fill(0.0)
+    cross_mask.fill(0.0)
+    return correction
+
+
+def recover_cross_product(partial, correction) -> np.ndarray:
+    """Server's step: add its mask correction, leaving data @ key."""
+    return partial + correction
 
 
 class Party:
@@ -132,7 +203,7 @@ class Party:
     def __init__(self, session_id: bytes, role: Role, dims: dict[str, int]):
         self.session_id = session_id
         self.role = role
-        self.dims = dims
+        self.dims = {**SEED_DIMS, **dims}
         self.aborted = False
         # Built eagerly: a generator over SCHEDULE that read self.role would
         # tie the party into a reference cycle and delay freeing its matrices.
@@ -143,6 +214,15 @@ class Party:
     def _hold(self, name: str, mat: np.ndarray) -> np.ndarray:
         self._mats[name] = mat
         return mat
+
+    def _release(self, *names: str) -> None:
+        """Overwrite held matrices in place after their last use and drop them."""
+        for name in names:
+            self._mats.pop(name).fill(0.0)
+
+    def _resolve(self, row) -> list[tuple[int, int]]:
+        """The payload shapes of ``SCHEDULE`` row ``row`` in this party's dimensions."""
+        return [tuple(self.dims[name] for name in names) for names in row[4]]
 
     def _hold_key(self, name: str, key, shape: tuple) -> np.ndarray:
         """Hold a copy of a persisted or freshly drawn key."""
@@ -213,7 +293,13 @@ class Party:
 
 
 class ServerParty(Party):
-    """Draws masks, recovers the cross blocks, mixes the assembled features."""
+    """Draws the mask seeds, recovers the cross blocks, mixes the assembled features.
+
+    Of each pass's masks it holds only the seed rows (``seeds_ab``,
+    ``seeds_ba``) and, until the recovery, the one correction computed from
+    them (``seeded_correction``); ``masks_ab`` and ``masks_ba`` expand the
+    held seeds again.
+    """
 
     def __init__(
         self,
@@ -229,42 +315,60 @@ class ServerParty(Party):
         zero_masks: bool = False,
     ):
         check_mask_range(mask_range)
-        dims = {"a": n_a, "b": n_b, "d1": d + 1, "h": hyper.half_width}
-        super().__init__(session_id, Role.SERVER, dims)
+        super().__init__(
+            session_id, Role.SERVER, {"a": n_a, "b": n_b, "d1": d + 1, "h": hyper.half_width}
+        )
         width = hyper.mapped_width
         if mix_key is None and mix_rng is not None:
             mix_key = generate_mix_key(hyper, mix_rng)
         self.mix_key = self._hold_key("mix_key", mix_key, (width, width))
-        # Both passes' masks are drawn up front, each in the shapes of the
-        # server's opening sends of that pass (seq 1 and 2, then 6 and 7).
-        shapes = [tuple(dims[n] for n in names) for row in self._sends for names in row[4]]
-        self.masks_ab = draw_mask_set(shapes[:3], mask_rng, mask_range, zero_masks)
-        self.masks_ba = draw_mask_set(shapes[3:], mask_rng, mask_range, zero_masks)
-        for tag, ms in (("ab", self.masks_ab), ("ba", self.masks_ba)):
-            self._hold(f"data_mask_{tag}", ms.data_mask)
-            self._hold(f"key_mask_{tag}", ms.key_mask)
-            self._hold(f"cross_mask_{tag}", ms.cross_mask)
-        # Per client: the masks of the pass in which it holds the data, and
-        # the names of its cross and own blocks.
+        # Per client: the pass in which it holds the data, and the names of
+        # its cross and own blocks.
         self._blocks = {
-            Role.CLIENT_A: (self.masks_ab, "cross_ab", "own_a"),
-            Role.CLIENT_B: (self.masks_ba, "cross_ba", "own_b"),
+            Role.CLIENT_A: ("ab", "cross_ab", "own_a"),
+            Role.CLIENT_B: ("ba", "cross_ba", "own_b"),
         }
+        self._mask_shapes = {}
+        key_mask_seqs = [row[0] for row in self._sends if row[3] == MessageKind.KEY_MASKS]
+        for tag, seq in zip(("ab", "ba"), key_mask_seqs):
+            # Each mask has the shape of the payload it blinds, in the two
+            # rows after the pass's KEY_MASKS: data, then key and cross.
+            shapes = [shape for row in SCHEDULE[seq : seq + 2] for shape in self._resolve(row)]
+            self._mask_shapes[tag] = shapes
+            seeds = self._hold(f"seeds_{tag}", np.vstack([
+                seed_row(mask_rng.words(SEED_WORDS), 0.0 if zero_masks else mask_range)
+                for _ in shapes
+            ]))
+            self._hold(f"correction_{tag}", seeded_correction(seeds, shapes))
         self.mapped_features = None
 
-    def _open_pass(self, masks: MaskSet) -> list[ProtocolMessage]:
-        """Send one directional pass's masks: the data mask, then the key masks."""
-        return [self._msg(masks.data_mask), self._msg(masks.key_mask, masks.cross_mask)]
+    def _masks(self, tag: str) -> MaskSet:
+        return MaskSet(*draw_mask_set(self._mats[f"seeds_{tag}"], self._mask_shapes[tag]))
+
+    @property
+    def masks_ab(self) -> MaskSet:
+        return self._masks("ab")
+
+    @property
+    def masks_ba(self) -> MaskSet:
+        return self._masks("ba")
+
+    def _open_pass(self, tag: str) -> list[ProtocolMessage]:
+        """Send one pass's seed rows: the data mask's, then the key and cross
+        masks'. Each is a copy, because its receiver wipes it once expanded."""
+        data, key, cross = (row[None].copy() for row in self._mats[f"seeds_{tag}"])
+        return [self._msg(data), self._msg(key, cross)]
 
     def start(self) -> list[ProtocolMessage]:
-        return self._open_pass(self.masks_ab)
+        return self._open_pass("ab")
 
     def _on_unblinded_cross(self, msg) -> list[ProtocolMessage]:
         (partial,) = msg.payloads
-        masks, cross, _ = self._blocks[msg.sender]
-        self._hold(cross, recover_cross_product(partial, masks))
+        tag, cross, _ = self._blocks[msg.sender]
+        self._hold(cross, recover_cross_product(partial, self._mats[f"correction_{tag}"]))
+        self._release(f"correction_{tag}")
         if msg.sender == Role.CLIENT_A:
-            return self._open_pass(self.masks_ba)
+            return self._open_pass("ba")
         return []
 
     def _on_own_product(self, msg) -> list[ProtocolMessage]:
@@ -300,7 +404,9 @@ class ClientParty(Party):
 
     Client A holds the data in the first pass (seq 1-5) and client B in the
     mirrored pass (seq 6-10); each handler answers within the pass of the
-    message it received.
+    message it received. Each mask blinds the client's next send, whose
+    shapes it takes; it is expanded where first used and wiped after its
+    last use.
     """
 
     def __init__(
@@ -321,23 +427,42 @@ class ClientParty(Party):
             key = generate_map_key_half(d1 - 1, hyper, key_rng)
         self.key = self._hold_key("key", key, (d1, hyper.half_width))
 
+    def _check_seeds(self, msg) -> None:
+        for row in msg.payloads:
+            error = seed_row_error(row)
+            if error:
+                self.abort(msg.seq, f"{msg.kind.name} {error}")
+
     def _on_data_mask(self, msg) -> list[ProtocolMessage]:
-        (data_mask,) = msg.payloads
+        self._check_seeds(msg)
+        (seed,) = msg.payloads
+        (data_mask,) = draw_mask_set((seed,), self._resolve(self._sends[0]))
+        seed.fill(0.0)
         self._hold("data_mask", data_mask)
         return [self._msg(self._hold("blinded_data", blind_data(self.x_aug, data_mask)))]
 
     def _on_key_masks(self, msg) -> list[ProtocolMessage]:
-        key_mask, cross_mask = msg.payloads
-        self._hold("key_mask", key_mask)
-        self._hold("cross_mask", cross_mask)
+        # Held as seeds until the blinded rows arrive: the cross mask has their
+        # row count, which this party does not know before.
+        self._check_seeds(msg)
+        key_seed, cross_seed = msg.payloads
+        self._hold("key_mask_seed", key_seed)
+        self._hold("cross_mask_seed", cross_seed)
         return []
 
     def _on_blinded_data(self, msg) -> list[ProtocolMessage]:
         (peer_blinded_data,) = msg.payloads
         self._hold("peer_blinded_data", peer_blinded_data)
-        blinded_key, masked_cross = blind_key_and_cross(
-            peer_blinded_data, self.key, self._mats["key_mask"], self._mats["cross_mask"]
+        key_mask, cross_mask = draw_mask_set(
+            (self._mats["key_mask_seed"], self._mats["cross_mask_seed"]),
+            self._resolve(self._sends[0]),
         )
+        self._release("key_mask_seed", "cross_mask_seed")
+        blinded_key, masked_cross = blind_key_and_cross(
+            peer_blinded_data, self.key,
+            self._hold("key_mask", key_mask), self._hold("cross_mask", cross_mask),
+        )
+        self._release("key_mask", "cross_mask")
         self._hold("own_blinded_key", blinded_key)
         self._hold("own_masked_cross", masked_cross)
         return [self._msg(blinded_key, masked_cross)]
@@ -350,6 +475,7 @@ class ClientParty(Party):
             "partial_cross",
             unblind_cross(masked_cross, blinded_key, self._mats["data_mask"]),
         )
+        self._release("data_mask")
         return [self._msg(partial)]
 
     def _finish(self, last) -> list[ProtocolMessage]:
@@ -451,6 +577,7 @@ def run_protocol(
     itself records metadata, never payloads). ``timeout_s`` bounds every
     receive; it defaults to MSBLS_TIMEOUT_MS (``transport.receive_timeout_s``).
     """
+    started = time.perf_counter()
     session_id = new_session_id()
     timeout = transport.receive_timeout_s(timeout_s)
 
@@ -502,12 +629,13 @@ def run_protocol(
             if message_tap is not None:
                 message_tap(msg)
 
-    failures: list[tuple[Role, int | None, BaseException]] = []
+    failures: list[tuple[Role, int | None, BaseException, float]] = []
 
     def fail(party: Party, seq, exc: BaseException):
+        elapsed = time.perf_counter() - started
         party.zeroize()
         with log_lock:
-            failures.append((party.role, seq, exc))
+            failures.append((party.role, seq, exc, elapsed))
             if len(failures) == 1:
                 # The first failure ends the session: closing every endpoint
                 # unblocks the peers, whose own failures are only fallout.
@@ -533,12 +661,12 @@ def run_protocol(
     if failures:
         for party in parties.values():
             party.zeroize()
-        role, seq, first = failures[0]
+        role, seq, first, elapsed = failures[0]
         if isinstance(first, ProtocolAbort):
-            first.parties = parties
+            first.parties, first.elapsed_s = parties, elapsed
             raise first
         abort = ProtocolAbort(role, seq, f"{type(first).__name__}: {first}")
-        abort.parties = parties
+        abort.parties, abort.elapsed_s = parties, elapsed
         raise abort from first
 
     transcript.sort(key=lambda e: e.seq)

@@ -1,6 +1,6 @@
 """Message delivery over two interchangeable backends.
 
-Over TCP a message travels as one v2 wire frame, whose layout the ``FRAME_*``
+Over TCP a message travels as one wire frame, whose layout the ``FRAME_*``
 structs in ``messages.py`` define. ``encode_message`` joins the packed header,
 dims and checksum with each payload's own memory in one copy. One walker,
 ``_walk_frame``, reads a frame for both ``read_frame`` (off a socket) and
@@ -12,8 +12,8 @@ offset so that every payload's entries are 8-byte aligned; ``decode_message``
 then returns the payloads as float64 views of that buffer, so a one-payload
 frame is allocated once and none of its payload bytes is copied on the way.
 The whole frame must arrive within the socket's timeout. Frames round-trip
-bit-exactly for finite matrices; bad magic, an unsupported version (v1
-included), oversized dims, truncation or checksum mismatch reject the frame
+bit-exactly for finite matrices; bad magic, an unsupported version (v1 and
+v2 included), oversized dims, truncation or checksum mismatch reject the frame
 without state change. Each backend gives every role an endpoint with
 ``role``, ``send(msg)``, ``recv(sender, timeout)`` and ``close()``. Delivery
 is FIFO per directed (sender, receiver) pair; ``recv`` raises

@@ -340,6 +340,18 @@ class TestShrinkage:
         # Scaled by 0.8 / peak, tanh stays below 0.67 on the rows that set the scale.
         assert np.max(np.abs(enhancement_features(zn, scaled, "tanh"))) < 0.67
 
+    def test_preact_ratio_is_one_on_the_fitted_rows_and_fires_beyond_them(self):
+        rng = np.random.default_rng(10)
+        zn = rng.standard_normal((40, 6)) * 30
+        keys = [(rng.standard_normal((6, k)), rng.uniform(-1, 1, (1, k))) for k in (5, 3)]
+        scaled = shrink_enhancement_keys(zn, keys)
+        health = {}
+        h = enhancement_features(zn, scaled, "tanh", health)
+        assert health["preact_ratio"] == pytest.approx(1.0, rel=1e-12)
+        assert np.array_equal(h, enhancement_features(zn, scaled, "tanh"))
+        enhancement_features(zn * 3, scaled, "tanh", health)
+        assert health["preact_ratio"] > 2
+
     def test_block_scores_match_the_stacked_product(self):
         rng = np.random.default_rng(9)
         zn, hm = rng.standard_normal((20, 3)), rng.standard_normal((20, 5))

@@ -16,6 +16,23 @@ from msbls.linalg import (
 )
 
 
+class TestRngStream:
+    @pytest.mark.parametrize("scale", [1e3, 1.0, 7.3e5, 3.3e-2])
+    def test_uniform_is_generator_uniform_bit_for_bit(self, scale):
+        ours, reference = RngStream(11), np.random.Generator(np.random.PCG64(11))
+        assert np.array_equal(
+            ours.uniform(-scale, scale, 37, 5), reference.uniform(-scale, scale, size=(37, 5))
+        )
+        # The stream stands at the same place afterwards.
+        assert np.array_equal(ours.standard_normal(3, 2), reference.standard_normal((3, 2)))
+
+    def test_words_are_seeded_uint32(self):
+        words = RngStream(12).words(4)
+        assert words.dtype == np.uint32 and words.shape == (4,)
+        assert np.array_equal(words, RngStream(12).words(4))
+        assert not np.array_equal(words, RngStream(13).words(4))
+
+
 class TestRandomMatrix:
     def test_degenerate_uniform_interval_is_all_zero(self):
         out = random_matrix(2, 2, ("uniform", 0.0, 0.0), RngStream(3))

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ from msbls import protocol, transport
 from msbls.bls import BlsHyperParams, augment, mapped_features_simplified
 from msbls.linalg import RngStream, derive_streams, random_matrix
 from msbls.messages import MessageKind, ProtocolMessage, Role
-from msbls.messages import SCHEDULE
+from msbls.messages import SCHEDULE, SEED_DIMS
 from msbls.protocol import (
     MaskSet,
     PartyRngs,
@@ -21,6 +22,7 @@ from msbls.protocol import (
     blind_data,
     blind_key_and_cross,
     draw_mask_set,
+    mask_correction,
     recover_cross_product,
     run_protocol,
     unblind_cross,
@@ -188,14 +190,14 @@ class TestStepAlgebra:
             blinded_data, self.key, self.masks.key_mask, self.masks.cross_mask
         )
         partial = unblind_cross(masked_cross, blinded_key, self.masks.data_mask)
-        recovered = recover_cross_product(partial, self.masks)
+        recovered = recover_cross_product(partial, mask_correction(self.masks))
         clear = self.x_aug @ self.key
         assert np.linalg.norm(recovered - clear) / np.linalg.norm(clear) < 1e-9
 
     def test_recover_zero_masks_is_identity(self):
         zero = MaskSet(np.zeros((6, 5)), np.zeros((5, 3)), np.zeros((6, 3)))
         partial = self.x_aug @ self.key
-        assert np.array_equal(recover_cross_product(partial, zero), partial)
+        assert np.array_equal(recover_cross_product(partial, mask_correction(zero)), partial)
 
     def test_recover_identity_data_square_toy(self):
         key = np.random.default_rng(1).standard_normal((4, 2))
@@ -209,7 +211,7 @@ class TestStepAlgebra:
             blind_data(x_aug, masks.data_mask), key, masks.key_mask, masks.cross_mask
         )
         partial = unblind_cross(masked_cross, blinded_key, masks.data_mask)
-        assert np.allclose(recover_cross_product(partial, masks), key, atol=1e-10)
+        assert np.allclose(recover_cross_product(partial, mask_correction(masks)), key, atol=1e-10)
 
 
 class TestAssemble:
@@ -690,7 +692,7 @@ class TestScheduleShapes:
             PartyRngs(mask=RngStream(20)), keys=train.keys,
         )
         for res, (n_a, n_b) in ((train, (5, 9)), (test, (8, 2))):
-            dims = {"a": n_a, "b": n_b, "d1": d + 1, "h": hyper.half_width}
+            dims = {**SEED_DIMS, "a": n_a, "b": n_b, "d1": d + 1, "h": hyper.half_width}
             assert [e.seq for e in res.transcript] == [row[0] for row in SCHEDULE]
             assert [e.payload_shapes for e in res.transcript] == [
                 [tuple(dims[name] for name in names) for names in row[4]] for row in SCHEDULE
@@ -701,16 +703,160 @@ class TestScheduleShapes:
         assert (abort.role, abort.seq) == (Role.CLIENT_B, 2)
         assert "KEY_MASKS needs 2 payloads, got 1" in abort.reason
 
-    def test_cross_mask_with_wrong_rows_aborts_at_the_blinded_data(self):
-        # B learns A's row count from the seq-2 cross mask, so a taller mask
-        # surfaces when A's real rows arrive at seq 3.
-        def taller_cross_mask(msg):
-            key_mask, cross_mask = msg.payloads
-            return {"payloads": (key_mask, np.vstack([cross_mask, cross_mask[:1]]))}
+    def test_blinded_data_with_wrong_rows_aborts_at_the_data_holder(self):
+        # B learns A's row count from the seq-3 blinded rows and sizes its
+        # cross mask by it, so a taller seq 3 surfaces when A checks seq 4.
+        def taller_blinded_data(msg):
+            (blinded,) = msg.payloads
+            return {"payloads": (np.vstack([blinded, blinded[:1]]),)}
 
-        abort = tampered_abort(2, taller_cross_mask)
-        assert (abort.role, abort.seq) == (Role.CLIENT_B, 3)
-        assert "BLINDED_DATA payload has shape (4, 4), expected (5, 4)" in abort.reason
+        abort = tampered_abort(3, taller_blinded_data)
+        assert (abort.role, abort.seq) == (Role.CLIENT_A, 4)
+        assert "BLINDED_KEY_AND_CROSS payload has shape (5, 4), expected (4, 4)" in abort.reason
+
+
+def rewrite_last_seed(column, value):
+    """A rewrite of a message's last seed row with one entry replaced."""
+    def rewrite(msg):
+        row = msg.payloads[-1].copy()
+        row[0, column] = value
+        return {"payloads": (*msg.payloads[:-1], row)}
+
+    return rewrite
+
+
+class TestSeedRows:
+    """Seq 1, 2, 6 and 7 carry 1 x 5 seed rows, which their receivers expand
+    into the masks that the server expands from the same seeds."""
+
+    @pytest.mark.parametrize("seq", [1, 2])
+    @pytest.mark.parametrize("column,value,reason", [
+        (0, 2.0**32, "seed words must be integers in [0, 2**32)"),
+        (3, 0.5, "seed words must be integers in [0, 2**32)"),
+        (4, -1.0, "mask range must be in [0, "),
+        (4, protocol.MAX_MASK_RANGE * 1.5, "mask range must be in [0, "),
+    ], ids=["word-2**32", "fractional-word", "negative-range", "range-above-max"])
+    def test_malformed_seed_row_aborts_at_its_receiver(self, seq, column, value, reason):
+        abort = tampered_abort(seq, rewrite_last_seed(column, value))
+        assert (abort.role, abort.seq) == (RECEIVER_OF_SEQ[seq], seq)
+        assert abort.reason.startswith(f"{SCHEDULE[seq - 1][3].name} {reason}")
+
+    def test_mask_frames_do_not_grow_with_the_rows(self):
+        hyper = BlsHyperParams(map_groups=2, map_dim=4)
+        rng = np.random.default_rng(21)
+        lengths = []
+        for na, nb in [(1, 1), (20, 5), (300, 7)]:
+            tapped = []
+            res = run_once(
+                rng.uniform(0, 1, (na, 3)), rng.uniform(0, 1, (nb, 3)), hyper,
+                message_tap=tapped.append,
+            )
+            by_seq = {e.seq: e.byte_length for e in res.transcript if e.seq in (1, 2, 6, 7)}
+            assert by_seq == {
+                m.seq: len(transport.encode_message(m)) for m in tapped if m.seq in by_seq
+            }
+            lengths.append(by_seq)
+        # header 27 + per seed row 8 bytes of dims and 5 doubles + crc 4
+        assert lengths == [{1: 79, 2: 127, 6: 79, 7: 127}] * 3
+
+    def test_clients_expand_the_servers_masks(self):
+        hyper = BlsHyperParams(map_groups=2, map_dim=4)
+        rng = np.random.default_rng(22)
+        xa, xb = rng.uniform(0, 1, (6, 3)), rng.uniform(0, 1, (4, 3))
+        res = run_once(xa, xb, hyper, seed=23)
+        server = res.parties[Role.SERVER]
+        a_view = res.parties[Role.CLIENT_A].view_matrices()
+        b_view = res.parties[Role.CLIENT_B].view_matrices()
+        # A's blinded rows are its augmented rows plus the server's data mask.
+        assert np.array_equal(a_view["blinded_data"], augment(xa) + server.masks_ab.data_mask)
+        assert np.array_equal(b_view["blinded_data"], augment(xb) + server.masks_ba.data_mask)
+        assert np.array_equal(b_view["own_blinded_key"], res.keys.key_b + server.masks_ab.key_mask)
+
+    def test_finished_session_holds_no_dense_mask(self):
+        hyper = BlsHyperParams(map_groups=2, map_dim=4)
+        rng = np.random.default_rng(24)
+        res = run_once(rng.uniform(0, 1, (6, 3)), rng.uniform(0, 1, (5, 3)), hyper, seed=25)
+        server = res.parties[Role.SERVER]
+        masks = [m for ms in (server.masks_ab, server.masks_ba) for m in vars(ms).values()]
+        held = server.view_matrices()
+        assert set(held) <= {
+            "mix_key", "seeds_ab", "seeds_ba", "correction_ab", "correction_ba",
+            "cross_ab", "cross_ba", "own_a", "own_b", "mapped_features",
+        }
+        assert held["seeds_ab"].shape == held["seeds_ba"].shape == (3, 5)
+        for role in (Role.CLIENT_A, Role.CLIENT_B):
+            client = res.parties[role].view_matrices()
+            assert not set(client) & {
+                "data_mask", "key_mask", "cross_mask", "key_mask_seed", "cross_mask_seed"
+            }
+            held.update({f"{role.name}:{name}": mat for name, mat in client.items()})
+        for name, mat in held.items():
+            assert not any(np.array_equal(mat, mask) for mask in masks), name
+
+    def test_zero_mask_seed_rows_expand_to_zeros(self):
+        hyper = BlsHyperParams(map_groups=2, map_dim=4)
+        server = ServerParty(
+            bytes(16), 3, 2, 2, hyper, mask_rng=RngStream(0), mix_rng=RngStream(1),
+            zero_masks=True,
+        )
+        assert np.all(server.view_matrices()["seeds_ab"][:, -1] == 0)
+        for mask in vars(server.masks_ab).values():
+            assert not np.any(mask)
+        assert not np.any(server.view_matrices()["correction_ab"])
+
+    def test_draw_mask_set_expands_each_row_to_its_shape(self):
+        rows = [protocol.seed_row(RngStream(s).words(4), 7.0) for s in (1, 2)]
+        first, second = draw_mask_set(rows, [(3, 2), (1, 4)])
+        assert first.shape == (3, 2) and second.shape == (1, 4)
+        assert np.all(np.abs(first) <= 7.0) and not np.array_equal(first[0, :2], second[0, :2])
+        assert np.array_equal(first, draw_mask_set(rows[:1], [(3, 2)])[0])
+
+    def test_blocks_of_a_mask_are_the_whole_mask(self):
+        row = protocol.seed_row(RngStream(3).words(4), 50.0)
+        blocks = list(protocol.mask_blocks(row, (10, 3), 4))
+        assert [lo for lo, _ in blocks] == [0, 4, 8]
+        whole = protocol.expand_mask(row, (10, 3))
+        assert np.array_equal(np.vstack([block for _, block in blocks]), whole)
+
+    def test_server_correction_without_the_dense_data_mask(self, monkeypatch):
+        monkeypatch.setattr(protocol, "CORRECTION_BLOCK_ROWS", 4)
+        rows = [protocol.seed_row(RngStream(s).words(4), 1e3) for s in (4, 5, 6)]
+        shapes = [(10, 6), (6, 3), (10, 3)]
+        expected = mask_correction(MaskSet(*draw_mask_set(rows, shapes)))
+        assert np.allclose(protocol.seeded_correction(rows, shapes), expected, rtol=0, atol=1e-9)
+
+
+class TestAbortElapsed:
+    """An abort carries the seconds from the start of the session to its first failure."""
+
+    def test_tampered_session(self):
+        started = time.perf_counter()
+        abort = tampered_abort(3, widen_first_payload)
+        assert 0 < abort.elapsed_s < time.perf_counter() - started
+
+    def test_stalled_session_waits_out_the_timeout(self):
+        class DropSeq3:
+            def __init__(self, inner):
+                self._inner, self.role = inner, inner.role
+
+            def send(self, msg):
+                if msg.seq != 3:
+                    self._inner.send(msg)
+
+            def recv(self, sender, timeout=None):
+                return self._inner.recv(sender, timeout)
+
+            def close(self):
+                self._inner.close()
+
+        endpoints = make_bus_endpoints()
+        endpoints[Role.CLIENT_A] = DropSeq3(endpoints[Role.CLIENT_A])
+        started = time.perf_counter()
+        with pytest.raises(ProtocolAbort) as excinfo:
+            run_once(np.ones((2, 2)), np.ones((2, 2)), BlsHyperParams(map_groups=2, map_dim=4),
+                     endpoints=endpoints, timeout_s=0.3)
+        assert "TransportTimeout" in excinfo.value.reason
+        assert 0.3 <= excinfo.value.elapsed_s < time.perf_counter() - started
 
 
 class TestStepShapeChecks:

@@ -9,7 +9,9 @@ with more than one plaintext, and that masks are never reused.
 import numpy as np
 import pytest
 
+from msbls import experiment
 from msbls.bls import BlsHyperParams, augment
+from msbls.datasets import synthetic_desk_dataset
 from msbls.linalg import RngStream, derive_streams
 from msbls.messages import MessageKind, Role
 from msbls.protocol import PartyRngs, blind_data, blind_key_and_cross, run_protocol
@@ -181,3 +183,24 @@ class TestMaskFreshness:
             for j in range(i + 1, len(all_masks)):
                 if all_masks[i].shape == all_masks[j].shape:
                     assert not np.array_equal(all_masks[i], all_masks[j])
+
+    def test_the_twelve_seeds_of_a_run_are_distinct(self, monkeypatch):
+        # Training and test session each draw three seeds per pass.
+        seeds = []
+        run = experiment.run_protocol
+
+        def keep_seeds(*args, **kwargs):
+            session = run(*args, **kwargs)
+            held = session.parties[Role.SERVER].view_matrices()
+            seeds.extend(tuple(row) for tag in ("ab", "ba") for row in held[f"seeds_{tag}"])
+            return session
+
+        monkeypatch.setattr(experiment, "run_protocol", keep_seeds)
+        train, test = synthetic_desk_dataset(200, 40)
+        config = experiment.ExperimentConfig(
+            hyper=BlsHyperParams(map_groups=2, map_dim=4, enh_dim=20)
+        )
+        experiment.run_msbls(train, test, config, seed=3)
+        assert len(seeds) == 12
+        assert len({row[:-1] for row in seeds}) == 12
+        assert {row[-1] for row in seeds} == {config.mask_range}

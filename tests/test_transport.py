@@ -44,7 +44,7 @@ class TestFrameCodec:
     def test_zero_scalar_payload_layout(self):
         raw = encode_message(msg([[[0.0]]]))
         assert raw[:4] == b"MSBL"
-        assert raw[4] == 2
+        assert raw[4] == 3
         # header(27) | rows(4) cols(4) | one zero double | crc(4)
         assert len(raw) == 27 + 8 + 8 + 4
         rows, cols = struct.unpack(">II", raw[27:35])
@@ -596,7 +596,7 @@ small_payloads = st.lists(
 
 
 class TestV2Frame:
-    """Little-endian entries, version 2 only, and payloads received in place."""
+    """Little-endian entries, the current version only, and payloads received in place."""
 
     def test_version_1_frame_is_rejected_by_both_readers(self):
         v1 = as_version(encode_message(msg([np.ones((2, 2))])), 1)
@@ -604,6 +604,12 @@ class TestV2Frame:
             decode_message(v1)
         with pytest.raises(FrameError, match="^unsupported version 1$"):
             frame_through_a_socket(v1)
+
+    def test_version_2_frame_is_rejected(self):
+        # Version 2 frames carried dense masks where version 3 carries seed rows.
+        v2 = as_version(encode_message(msg([np.ones((2, 2))])), 2)
+        with pytest.raises(FrameError, match="^unsupported version 2$"):
+            decode_message(v2)
 
     def test_version_1_hello_fails_setup_and_closes_every_socket(self, monkeypatch):
         def v1_hello(sock, role):
