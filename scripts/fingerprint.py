@@ -16,7 +16,12 @@ its parent on one machine, never across machines. Exits 1 if the bus and
 TCP features differ, or if zero-mask msbls differs from nbls in features,
 weights or predictions.
 
+With --compare, reads two printed fingerprints of one checkout, taken at
+different BLAS thread counts, instead of running anything, and exits 1 if
+they differ in any THREAD_INDEPENDENT digest.
+
 Usage: python scripts/fingerprint.py [--size desk|smoke]
+       python scripts/fingerprint.py --compare A.json B.json
 """
 
 import argparse
@@ -24,6 +29,7 @@ import hashlib
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -42,6 +48,10 @@ CHECKS = (
     ("msbls_bus", "msbls_tcp", ("train_mapped", "test_mapped")),
     ("msbls_zero_masks", "nbls", ("train_mapped", "test_mapped", "output_weights", "predictions")),
 )
+# Artifacts whose digests must not depend on the BLAS thread count: keys,
+# labels and transcripts involve no BLAS sums, and predictions keep their
+# margins.
+THREAD_INDEPENDENT = ("key_halves", "labels", "mix_key", "predictions", "transcripts")
 
 
 def _feed(h, value) -> None:
@@ -120,10 +130,26 @@ def failed_checks(prints: dict) -> list[str]:
     ]
 
 
+def compare(paths) -> None:
+    """Print how many THREAD_INDEPENDENT digests of two printed fingerprints
+    agree, and exit: 0 if all agree, else 1."""
+    first, second = (json.loads(Path(path).read_text())["runners"] for path in paths)
+    if first.keys() != second.keys():
+        sys.exit(f"runners differ: {sorted(first)} vs {sorted(second)}")
+    pairs = [(runner, name) for runner in first for name in THREAD_INDEPENDENT
+             if name in first[runner]]
+    differ = [pair for pair in pairs if first[pair[0]][pair[1]] != second[pair[0]].get(pair[1])]
+    print(f"{len(pairs) - len(differ)} of {len(pairs)} thread-independent digests agree")
+    sys.exit(f"differ between BLAS thread counts: {differ}" if differ else 0)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--size", choices=sorted(SIZES), default="desk")
+    parser.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"))
     args = parser.parse_args()
+    if args.compare:
+        compare(args.compare)
     prints = fingerprint(args.size)
     print(json.dumps(prints, indent=1, sort_keys=True))
     failures = failed_checks(prints)

@@ -195,9 +195,10 @@ class Party:
 
     ``dims`` holds the session dimensions this party knows; one it does not
     know yet is taken from the first received payload that carries it.
-    ``handle`` takes the next due receive and checks every payload's shape
-    against its row before any handler runs; each subclass's ``_finish``
-    does the work due after the final receive.
+    ``handle`` checks the next due receive against its row, and each payload's
+    rank, shape and finiteness, before any handler runs, on either backend;
+    every abort names the awaited seq. Each subclass's ``_finish`` does the
+    work due after the final receive.
     """
 
     def __init__(self, session_id: bytes, role: Role, dims: dict[str, int]):
@@ -256,23 +257,28 @@ class Party:
         raise ProtocolAbort(self.role, seq, reason)
 
     def handle(self, msg: ProtocolMessage) -> list[ProtocolMessage]:
+        """Check ``msg`` against the awaited row, then run its handler."""
         seq, sender, _, kind, shapes = self.expected_receive()
         if msg.session_id != self.session_id:
-            self.abort(msg.seq, "message from a different session")
+            self.abort(seq, "message from a different session")
         if msg.receiver != self.role:
-            self.abort(msg.seq, f"misdelivered message for {msg.receiver.name}")
+            self.abort(seq, f"misdelivered message for {msg.receiver.name}")
         if (msg.seq, msg.sender, msg.kind) != (seq, sender, kind):
             self.abort(
-                msg.seq,
+                seq,
                 f"expected seq {seq} {kind.name} from {sender.name}, "
                 f"got seq {msg.seq} {msg.kind.name} from {msg.sender.name}",
             )
         if len(msg.payloads) != len(shapes):
             self.abort(seq, f"{kind.name} needs {len(shapes)} payloads, got {len(msg.payloads)}")
         for p, names in zip(msg.payloads, shapes):
+            if p.ndim != 2:
+                self.abort(seq, f"{kind.name} payload has shape {p.shape}, expected 2-D")
             want = tuple(self.dims.setdefault(name, n) for name, n in zip(names, p.shape))
             if p.shape != want:
                 self.abort(seq, f"{kind.name} payload has shape {p.shape}, expected {want}")
+            if not np.all(np.isfinite(p)):
+                self.abort(seq, f"{kind.name} payload has non-finite entries")
         out = getattr(self, f"_on_{kind.name.lower()}")(msg)
         self._receives.pop(0)
         if not self._receives:
@@ -662,12 +668,21 @@ def run_protocol(
         for party in parties.values():
             party.zeroize()
         role, seq, first, elapsed = failures[0]
-        if isinstance(first, ProtocolAbort):
-            first.parties, first.elapsed_s = parties, elapsed
-            raise first
-        abort = ProtocolAbort(role, seq, f"{type(first).__name__}: {first}")
+        abort = first
+        if not isinstance(first, ProtocolAbort):
+            detail = str(first)
+            if isinstance(first, transport.TransportTimeout):
+                # Each receive waits its full timeout from its own start, so
+                # the first to time out is the longest waiter, not the party
+                # whose message never came: name the earliest one awaited.
+                seq, sender, role, kind, _ = min(
+                    filter(None, (party.expected_receive() for party in parties.values()))
+                )
+                detail = f"seq {seq} {kind.name} from {sender.name} did not arrive within {timeout}s"
+            abort = ProtocolAbort(role, seq, f"{type(first).__name__}: {detail}")
+            abort.__cause__ = first
         abort.parties, abort.elapsed_s = parties, elapsed
-        raise abort from first
+        raise abort
 
     transcript.sort(key=lambda e: e.seq)
     return SessionResult(

@@ -12,12 +12,14 @@ offset so that every payload's entries are 8-byte aligned; ``decode_message``
 then returns the payloads as float64 views of that buffer, so a one-payload
 frame is allocated once and none of its payload bytes is copied on the way.
 The whole frame must arrive within the socket's timeout. Frames round-trip
-bit-exactly for finite matrices; bad magic, an unsupported version (v1 and
-v2 included), oversized dims, truncation or checksum mismatch reject the frame
-without state change. Each backend gives every role an endpoint with
-``role``, ``send(msg)``, ``recv(sender, timeout)`` and ``close()``. Delivery
-is FIFO per directed (sender, receiver) pair; ``recv`` raises
-TransportTimeout if nothing comes in time, TransportClosed once closed.
+any float64 bits exactly, NaN and infinities included: the codec checks a
+frame's structure, and the receiving party checks its values. Bad magic, an
+unsupported version (v1 and v2 included), oversized dims, truncation or
+checksum mismatch reject the frame without state change. Each backend gives
+every role an endpoint with ``role``, ``send(msg)``, ``recv(sender,
+timeout)`` and ``close()``. Delivery is FIFO per directed (sender, receiver)
+pair; ``recv`` raises TransportTimeout if nothing comes in time,
+TransportClosed once closed.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def receive_timeout_s(timeout_s: float | None = None) -> float:
 
 
 class FrameError(ValueError):
-    """A wire frame failed to encode or decode."""
+    """A received wire frame or connection hello is malformed."""
 
 
 class TransportTimeout(TimeoutError):
@@ -92,8 +94,6 @@ def encode_message(msg: ProtocolMessage) -> bytes:
         int(msg.sender), int(msg.receiver), int(msg.kind), len(msg.payloads),
     )]
     for p in msg.payloads:
-        if not np.all(np.isfinite(p)):
-            raise FrameError("cannot encode non-finite payload")
         parts += (FRAME_DIMS.pack(*p.shape), np.ascontiguousarray(p, WIRE_FLOAT))
     crc = 0
     for part in parts:
@@ -154,18 +154,19 @@ def decode_message(data) -> ProtocolMessage:
     if crc != zlib.crc32(view[: end - FRAME_CRC.size]):
         raise FrameError("checksum mismatch")
     try:
-        return ProtocolMessage(
-            session_id=session_id,
-            seq=seq,
-            sender=Role(sender),
-            receiver=Role(receiver),
-            kind=MessageKind(kind),
-            # Writable: a party zeroizes what it holds, and for a view of a
-            # received frame that wipes the only copy.
-            payloads=tuple(np.require(p, np.float64, ("ALIGNED", "WRITEABLE")) for p in payloads),
-        )
+        sender, receiver, kind = Role(sender), Role(receiver), MessageKind(kind)
     except ValueError as exc:
         raise FrameError(f"invalid message fields: {exc}") from exc
+    return ProtocolMessage(
+        session_id=session_id,
+        seq=seq,
+        sender=sender,
+        receiver=receiver,
+        kind=kind,
+        # Writable: a party zeroizes what it holds, and for a view of a
+        # received frame that wipes the only copy.
+        payloads=tuple(np.require(p, np.float64, ("ALIGNED", "WRITEABLE")) for p in payloads),
+    )
 
 
 class _BusEndpoint:

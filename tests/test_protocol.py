@@ -492,6 +492,13 @@ def widen_first_payload(msg):
     return {"payloads": (np.hstack([first, np.zeros((first.shape[0], 1))]), *rest)}
 
 
+def nan_in_first_payload(msg):
+    first, *rest = msg.payloads
+    first = first.copy()
+    first[-1, -1] = np.nan
+    return {"payloads": (first, *rest)}
+
+
 class TestAbort:
     def test_out_of_order_message_aborts_and_zeroizes(self):
         hyper = BlsHyperParams(map_groups=2, map_dim=4)
@@ -576,10 +583,23 @@ class TestAbort:
         for party in excinfo.value.parties.values():
             assert party.aborted
             assert party.view_matrices() == {}
+        return excinfo.value
 
     @pytest.mark.parametrize("seq", range(1, 13))
     def test_wrong_payload_shape_aborts_at_receiver(self, seq):
         self._assert_tampered_session_aborts(seq, widen_first_payload)
+
+    @pytest.mark.parametrize("seq", range(1, 13))
+    def test_non_finite_payload_aborts_at_receiver(self, seq):
+        abort = self._assert_tampered_session_aborts(seq, nan_in_first_payload)
+        assert f"{SCHEDULE[seq - 1][3].name} payload has non-finite entries" in abort.reason
+
+    def test_one_dimensional_payload_aborts_at_receiver(self):
+        def flatten_payload(msg):
+            return {"payloads": (msg.payloads[0].ravel(),)}
+
+        abort = self._assert_tampered_session_aborts(3, flatten_payload)
+        assert "BLINDED_DATA payload has shape (16,), expected 2-D" in abort.reason
 
     def test_foreign_session_id_aborts(self):
         self._assert_tampered_session_aborts(3, lambda msg: {"session_id": bytes(16)})
@@ -629,6 +649,40 @@ class TestAbort:
                 ep.close()
         assert (excinfo.value.role, excinfo.value.seq) == (Role.CLIENT_B, 3)
         assert "checksum" in excinfo.value.reason
+        for party in excinfo.value.parties.values():
+            assert party.aborted
+            assert party.view_matrices() == {}
+
+    @pytest.mark.parametrize("rewrite, reason", [
+        (nan_in_first_payload, "BLINDED_DATA payload has non-finite entries"),
+        (lambda msg: {"seq": 0}, "expected seq 3 BLINDED_DATA from CLIENT_A, got seq 0"),
+        (lambda msg: {"receiver": msg.sender}, "misdelivered message for CLIENT_A"),
+    ], ids=["non-finite", "seq-0", "receiver-is-sender"])
+    def test_invalid_tcp_frame_behind_a_valid_checksum_aborts_at_its_receiver(
+        self, rewrite, reason, monkeypatch
+    ):
+        # The codec checks a frame's structure only, so a well-formed seq-3
+        # frame with a bad value or field reaches B, whose handle rejects it.
+        encode = transport.encode_message
+
+        def rewrite_seq3(msg):
+            if msg.seq == 3:
+                msg = dataclasses.replace(msg, **rewrite(msg))
+            return encode(msg)
+
+        monkeypatch.setattr(transport, "encode_message", rewrite_seq3)
+        hyper = BlsHyperParams(map_groups=2, map_dim=4)
+        rng = np.random.default_rng(13)
+        xa, xb = rng.uniform(0, 1, (4, 3)), rng.uniform(0, 1, (5, 3))
+        endpoints = make_tcp_endpoints()
+        try:
+            with pytest.raises(ProtocolAbort) as excinfo:
+                run_protocol(xa, xb, hyper, party_rngs(13), endpoints=endpoints, timeout_s=5.0)
+        finally:
+            for ep in endpoints.values():
+                ep.close()
+        assert (excinfo.value.role, excinfo.value.seq) == (Role.CLIENT_B, 3)
+        assert reason in excinfo.value.reason
         for party in excinfo.value.parties.values():
             assert party.aborted
             assert party.view_matrices() == {}
@@ -857,6 +911,49 @@ class TestAbortElapsed:
                      endpoints=endpoints, timeout_s=0.3)
         assert "TransportTimeout" in excinfo.value.reason
         assert 0.3 <= excinfo.value.elapsed_s < time.perf_counter() - started
+
+
+class DropEndpoint:
+    """Swallows the ``seq`` message at its sender."""
+
+    def __init__(self, inner, seq):
+        self._inner, self._seq, self.role = inner, seq, inner.role
+
+    def send(self, msg):
+        if msg.seq != self._seq:
+            self._inner.send(msg)
+
+    def recv(self, sender, timeout=None):
+        return self._inner.recv(sender, timeout)
+
+    def close(self):
+        self._inner.close()
+
+
+class TestStalledSession:
+    """A session stalled by a missing message names the message that never
+    came, not whichever party's receive timed out first."""
+
+    @pytest.mark.parametrize("seq", range(1, 13))
+    def test_dropped_message_aborts_at_its_receiver(self, seq):
+        _, sender, receiver, kind, _ = SCHEDULE[seq - 1]
+        endpoints = make_bus_endpoints()
+        endpoints[sender] = DropEndpoint(endpoints[sender], seq)
+        with pytest.raises(ProtocolAbort) as excinfo:
+            run_once(np.ones((2, 2)), np.ones((3, 2)), BlsHyperParams(map_groups=2, map_dim=4),
+                     endpoints=endpoints, timeout_s=0.2)
+        abort = excinfo.value
+        assert (abort.role, abort.seq) == (receiver, seq)
+        if seq == 10:
+            # B's seq 12 follows seq 10 on the same queue, and overtakes it.
+            assert abort.reason.startswith("expected seq 10 UNBLINDED_CROSS from CLIENT_B")
+        else:
+            assert abort.reason.startswith(
+                f"TransportTimeout: seq {seq} {kind.name} from {sender.name} did not arrive"
+            )
+        for party in abort.parties.values():
+            assert party.aborted
+            assert party.view_matrices() == {}
 
 
 class TestStepShapeChecks:

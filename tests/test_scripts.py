@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from msbls.cli import main
@@ -14,14 +15,14 @@ from msbls.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_script(name, *args, returncode=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
     return proc
 
 
@@ -56,3 +57,24 @@ def test_fingerprint_is_reproducible_and_consistent():
         "msbls_bus", "msbls_tcp", "msbls_zero_masks", "nbls", "sbls",
     ]
     assert len(prints["combined"]) == 64
+
+
+@pytest.mark.parametrize("changed, returncode", [
+    (None, 0), ("predictions", 1), ("output_weights", 0),
+])
+def test_fingerprint_compare_checks_the_thread_independent_digests(tmp_path, changed, returncode):
+    msbls = {name: "0" * 64 for name in (
+        "key_halves", "labels", "mix_key", "predictions", "transcripts", "output_weights",
+    )}
+    nbls = {name: "1" * 64 for name in ("labels", "predictions", "output_weights")}
+    first = {"runners": {"msbls_bus": msbls, "nbls": nbls}}
+    second = json.loads(json.dumps(first))
+    if changed:
+        second["runners"]["msbls_bus"][changed] = "f" * 64
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, prints in zip(paths, (first, second)):
+        path.write_text(json.dumps(prints))
+    proc = run_script("fingerprint.py", "--compare", *map(str, paths), returncode=returncode)
+    assert proc.stdout == f"{7 - returncode} of 7 thread-independent digests agree\n"
+    if returncode:
+        assert "('msbls_bus', 'predictions')" in proc.stderr

@@ -130,40 +130,21 @@ class TestFrameCodec:
         with pytest.raises(FrameError, match="trailing"):
             decode_message(raw + b"\x00")
 
-    def test_non_finite_payload_cannot_be_encoded(self):
-        m = msg([np.ones((2, 2))])
-        m.payloads[0][0, 0] = np.nan  # mutate after construction-time checks
-        with pytest.raises(FrameError, match="non-finite"):
-            encode_message(m)
-
-    def test_message_construction_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            msg([np.ones((2, 2))], seq=0)
-        with pytest.raises(ValueError):
-            msg([np.ones((2, 2))], seq=13)
-        with pytest.raises(ValueError):
-            msg([np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2))])
-        with pytest.raises(ValueError):
-            msg([np.array([[np.inf]])])
-        with pytest.raises(ValueError):
-            ProtocolMessage(b"short", 1, Role.SERVER, Role.CLIENT_A,
-                            MessageKind.DATA_MASK, (np.ones((1, 1)),))
-
-    @pytest.mark.parametrize("payload, error", [
-        (np.ones((2, 2), dtype=np.float32), "payloads must be 2-D float64 arrays"),
-        (np.ones(3), "payloads must be 2-D float64 arrays"),
-        (np.ones((0, 3)), r"payload dimensions must be positive, got \(0, 3\)"),
-    ], ids=["float32", "1-D", "zero-rows"])
-    def test_message_rejects_a_payload_of_the_wrong_kind(self, payload, error):
-        with pytest.raises(ValueError, match=error):
-            ProtocolMessage(SID, 3, Role.CLIENT_A, Role.CLIENT_B,
-                            MessageKind.BLINDED_DATA, (payload,))
+    def test_non_finite_entries_round_trip_bit_for_bit(self):
+        # The codec checks structure only; the receiving party rejects
+        # non-finite values, so the frame must carry them unchanged.
+        bits = np.array(
+            [[0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001],
+             [0x7FF0000000000000, 0xFFF0000000000000, 0x7FF80000DEADBEEF]],
+            dtype=np.uint64,
+        )
+        m = msg([bits.view(np.float64)])
+        decoded = decode_message(encode_message(m)).payloads[0]
+        assert np.array_equal(decoded.view(np.uint64), bits)
 
     @pytest.mark.parametrize("offset, value", [
         (23, b"\x09"),  # sender: no such role
         (25, b"\x09"),  # kind: no such kind
-        (21, b"\x00\x00"),  # seq 0
-        (24, b"\x01"),  # receiver equal to the sender, CLIENT_A
     ])
     def test_invalid_fields_behind_a_valid_checksum_rejected(self, offset, value):
         raw = bytearray(encode_message(msg([[[1.0]]])))
