@@ -658,7 +658,7 @@ class TestAbort:
         (lambda msg: {"seq": 0}, "expected seq 3 BLINDED_DATA from CLIENT_A, got seq 0"),
         (lambda msg: {"receiver": msg.sender}, "misdelivered message for CLIENT_A"),
     ], ids=["non-finite", "seq-0", "receiver-is-sender"])
-    def test_invalid_tcp_frame_behind_a_valid_checksum_aborts_at_its_receiver(
+    def test_forged_tcp_frame_aborts_at_its_receiver(
         self, rewrite, reason, monkeypatch
     ):
         # The codec checks a frame's structure only, so a well-formed seq-3
