@@ -90,7 +90,7 @@ class SplitPlan:
     def describe(self) -> str:
         """The plan as ``--split`` spells it, plus ``,seed=N`` for a nonzero
         plan seed, so that runs under different plan seeds read apart."""
-        text = f"quantity:{self.ratio_a:g}" if self.mode == "quantity" else "noniid"
+        text = f"quantity:{float(self.ratio_a)!r}" if self.mode == "quantity" else "noniid"
         return f"{text},seed={self.seed}" if self.seed else text
 
     @staticmethod

@@ -252,6 +252,14 @@ class TestSplitPlan:
         assert SplitPlan(ratio_a=0.3, seed=7).describe() == "quantity:0.3,seed=7"
         assert SplitPlan(mode="non_iid", seed=7).describe() == "noniid,seed=7"
 
+    def test_describe_round_trips_through_parse(self):
+        # Ratios that differ past the sixth significant digit still read apart.
+        for ratio in (0.5, 0.3, 0.05, 1e-05, 0.1234567, 0.1234571, 1 / 3):
+            plan = SplitPlan(ratio_a=ratio)
+            assert SplitPlan.parse(plan.describe()) == plan
+        assert SplitPlan(ratio_a=0.1234567).describe() != SplitPlan(ratio_a=0.1234571).describe()
+        assert SplitPlan(ratio_a=np.float64(1e-05)).describe() == "quantity:1e-05"
+
 
 class TestRealIdxFiles:
     """Exercised only when MSBLS_DATA_DIR points at real IDX files."""

@@ -11,8 +11,7 @@ import pytest
 from msbls import protocol, transport
 from msbls.bls import BlsHyperParams, augment, mapped_features_simplified
 from msbls.linalg import RngStream, derive_streams, random_matrix
-from msbls.messages import MessageKind, ProtocolMessage, Role
-from msbls.messages import SCHEDULE, SEED_DIMS
+from msbls.messages import SCHEDULE, SEED_DIMS, MessageKind, Role
 from msbls.protocol import (
     MaskSet,
     PartyRngs,
@@ -429,55 +428,64 @@ class TestFullSession:
             gc.enable()
 
 
-class TamperEndpoint:
-    """Delivers one chosen message with a corrupted sequence number."""
+class FaultyEndpoint:
+    """Swallows the ``seq`` message at its sender (``drop``), or replaces the
+    fields that ``rewrite(msg)`` returns in it at its receiver."""
 
-    def __init__(self, inner, corrupt_seq):
-        self._inner = inner
-        self._corrupt_seq = corrupt_seq
+    def __init__(self, inner, seq, rewrite=None, drop=False):
+        self._inner, self._seq, self._rewrite, self._drop = inner, seq, rewrite, drop
         self.role = inner.role
 
     def send(self, msg):
-        self._inner.send(msg)
+        if not (self._drop and msg.seq == self._seq):
+            self._inner.send(msg)
 
     def recv(self, sender, timeout=None):
         msg = self._inner.recv(sender, timeout)
-        if msg.seq == self._corrupt_seq:
-            wrong = 12 if msg.seq != 12 else 11
-            msg = ProtocolMessage(
-                session_id=msg.session_id,
-                seq=wrong,
-                sender=msg.sender,
-                receiver=msg.receiver,
-                kind=msg.kind,
-                payloads=msg.payloads,
-            )
-        return msg
-
-    def close(self):
-        self._inner.close()
-
-
-class RewriteEndpoint:
-    """Replaces fields of one received message before the party sees it."""
-
-    def __init__(self, inner, seq, rewrite):
-        self._inner = inner
-        self._seq = seq
-        self._rewrite = rewrite
-        self.role = inner.role
-
-    def send(self, msg):
-        self._inner.send(msg)
-
-    def recv(self, sender, timeout=None):
-        msg = self._inner.recv(sender, timeout)
-        if msg.seq == self._seq:
+        if self._rewrite is not None and msg.seq == self._seq:
             msg = dataclasses.replace(msg, **self._rewrite(msg))
         return msg
 
     def close(self):
         self._inner.close()
+
+
+def wrong_seq(msg):
+    return {"seq": 12 if msg.seq != 12 else 11}
+
+
+def TamperEndpoint(inner, corrupt_seq):
+    """Delivers one chosen message with a corrupted sequence number."""
+    return FaultyEndpoint(inner, corrupt_seq, rewrite=wrong_seq)
+
+
+def session_abort(xa, xb, seed, seq=None, tcp=False, timeout_s=2.0, **fault):
+    """The abort of a small session over the bus, or a TCP trio if ``tcp``,
+    whose ``seq`` message is faulted by a ``FaultyEndpoint(**fault)`` at that
+    message's sender (``drop``) or receiver (``rewrite``). Every party must
+    end aborted and zeroized."""
+    endpoints = make_tcp_endpoints() if tcp else make_bus_endpoints()
+    if seq is not None:
+        _, sender, receiver, _, _ = SCHEDULE[seq - 1]
+        at = sender if fault.get("drop") else receiver
+        endpoints[at] = FaultyEndpoint(endpoints[at], seq, **fault)
+    try:
+        with pytest.raises(ProtocolAbort) as excinfo:
+            run_protocol(xa, xb, BlsHyperParams(map_groups=2, map_dim=4), party_rngs(seed),
+                         endpoints=endpoints, timeout_s=timeout_s)
+    finally:
+        for ep in endpoints.values():
+            ep.close()
+    for party in excinfo.value.parties.values():
+        assert party.aborted
+        assert party.view_matrices() == {}
+    return excinfo.value
+
+
+def uniform_rows(seed):
+    """Four rows for client A and five for client B, three features each."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0, 1, (4, 3)), rng.uniform(0, 1, (5, 3))
 
 
 RECEIVER_OF_SEQ = {
@@ -501,40 +509,12 @@ def nan_in_first_payload(msg):
 
 class TestAbort:
     def test_out_of_order_message_aborts_and_zeroizes(self):
-        hyper = BlsHyperParams(map_groups=2, map_dim=4)
-        rng = np.random.default_rng(6)
-        xa, xb = rng.uniform(0, 1, (4, 3)), rng.uniform(0, 1, (5, 3))
-        endpoints = make_bus_endpoints()
-        endpoints[Role.CLIENT_B] = TamperEndpoint(endpoints[Role.CLIENT_B], corrupt_seq=3)
-        with pytest.raises(ProtocolAbort) as excinfo:
-            run_protocol(xa, xb, hyper, party_rngs(7), endpoints=endpoints, timeout_s=2.0)
-        assert excinfo.value.role == Role.CLIENT_B
+        abort = session_abort(*uniform_rows(6), 7, seq=3, rewrite=wrong_seq)
+        assert abort.role == Role.CLIENT_B
 
     def test_timeout_aborts(self):
-        hyper = BlsHyperParams(map_groups=2, map_dim=4)
-        endpoints = make_bus_endpoints()
-
-        class DropEndpoint:
-            def __init__(self, inner):
-                self._inner = inner
-                self.role = inner.role
-
-            def send(self, msg):
-                if msg.seq != 3:  # swallow the blinded data, B waits forever
-                    self._inner.send(msg)
-
-            def recv(self, sender, timeout=None):
-                return self._inner.recv(sender, timeout)
-
-            def close(self):
-                self._inner.close()
-
-        endpoints[Role.CLIENT_A] = DropEndpoint(endpoints[Role.CLIENT_A])
-        with pytest.raises(ProtocolAbort):
-            run_protocol(
-                np.ones((2, 2)), np.ones((2, 2)),
-                hyper, party_rngs(8), endpoints=endpoints, timeout_s=0.3,
-            )
+        # A swallows its blinded data, so B waits out the timeout.
+        session_abort(np.ones((2, 2)), np.ones((2, 2)), 8, seq=3, drop=True, timeout_s=0.3)
 
     @pytest.mark.parametrize("timeout_s", [-1.0, 0.0, float("nan"), float("inf")])
     def test_bad_timeout_rejected_before_any_party_starts(self, timeout_s, monkeypatch):
@@ -546,18 +526,10 @@ class TestAbort:
         assert started == []
 
     def test_abort_releases_no_output_and_zeroizes_secrets(self):
-        hyper = BlsHyperParams(map_groups=2, map_dim=4)
         rng = np.random.default_rng(7)
         xa, xb = rng.uniform(0.2, 1, (4, 3)), rng.uniform(0.2, 1, (5, 3))
-        endpoints = make_bus_endpoints()
-        endpoints[Role.CLIENT_A] = TamperEndpoint(endpoints[Role.CLIENT_A], corrupt_seq=4)
-        with pytest.raises(ProtocolAbort) as excinfo:
-            run_protocol(xa, xb, hyper, party_rngs(9), endpoints=endpoints, timeout_s=2.0)
-        parties = excinfo.value.parties
+        parties = session_abort(xa, xb, 9, seq=4, rewrite=wrong_seq).parties
         assert parties is not None
-        for party in parties.values():
-            assert party.aborted
-            assert party.view_matrices() == {}
         assert parties[Role.SERVER].mapped_features is None or not np.any(
             parties[Role.SERVER].mapped_features
         )
@@ -571,19 +543,9 @@ class TestAbort:
             server.result()
 
     def _assert_tampered_session_aborts(self, seq, rewrite):
-        hyper = BlsHyperParams(map_groups=2, map_dim=4)
-        rng = np.random.default_rng(11)
-        xa, xb = rng.uniform(0, 1, (4, 3)), rng.uniform(0, 1, (5, 3))
-        receiver = RECEIVER_OF_SEQ[seq]
-        endpoints = make_bus_endpoints()
-        endpoints[receiver] = RewriteEndpoint(endpoints[receiver], seq, rewrite)
-        with pytest.raises(ProtocolAbort) as excinfo:
-            run_protocol(xa, xb, hyper, party_rngs(12), endpoints=endpoints, timeout_s=2.0)
-        assert (excinfo.value.role, excinfo.value.seq) == (receiver, seq)
-        for party in excinfo.value.parties.values():
-            assert party.aborted
-            assert party.view_matrices() == {}
-        return excinfo.value
+        abort = session_abort(*uniform_rows(11), 12, seq=seq, rewrite=rewrite)
+        assert (abort.role, abort.seq) == (RECEIVER_OF_SEQ[seq], seq)
+        return abort
 
     @pytest.mark.parametrize("seq", range(1, 13))
     def test_wrong_payload_shape_aborts_at_receiver(self, seq):
@@ -637,21 +599,9 @@ class TestAbort:
             return bytes(frame)
 
         monkeypatch.setattr(transport, "encode_message", flip_a_byte_of_seq3)
-        hyper = BlsHyperParams(map_groups=2, map_dim=4)
-        rng = np.random.default_rng(13)
-        xa, xb = rng.uniform(0, 1, (4, 3)), rng.uniform(0, 1, (5, 3))
-        endpoints = make_tcp_endpoints()
-        try:
-            with pytest.raises(ProtocolAbort) as excinfo:
-                run_protocol(xa, xb, hyper, party_rngs(13), endpoints=endpoints, timeout_s=5.0)
-        finally:
-            for ep in endpoints.values():
-                ep.close()
-        assert (excinfo.value.role, excinfo.value.seq) == (Role.CLIENT_B, 3)
-        assert "checksum" in excinfo.value.reason
-        for party in excinfo.value.parties.values():
-            assert party.aborted
-            assert party.view_matrices() == {}
+        abort = session_abort(*uniform_rows(13), 13, tcp=True, timeout_s=5.0)
+        assert (abort.role, abort.seq) == (Role.CLIENT_B, 3)
+        assert "checksum" in abort.reason
 
     @pytest.mark.parametrize("rewrite, reason", [
         (nan_in_first_payload, "BLINDED_DATA payload has non-finite entries"),
@@ -671,66 +621,31 @@ class TestAbort:
             return encode(msg)
 
         monkeypatch.setattr(transport, "encode_message", rewrite_seq3)
-        hyper = BlsHyperParams(map_groups=2, map_dim=4)
-        rng = np.random.default_rng(13)
-        xa, xb = rng.uniform(0, 1, (4, 3)), rng.uniform(0, 1, (5, 3))
-        endpoints = make_tcp_endpoints()
-        try:
-            with pytest.raises(ProtocolAbort) as excinfo:
-                run_protocol(xa, xb, hyper, party_rngs(13), endpoints=endpoints, timeout_s=5.0)
-        finally:
-            for ep in endpoints.values():
-                ep.close()
-        assert (excinfo.value.role, excinfo.value.seq) == (Role.CLIENT_B, 3)
-        assert reason in excinfo.value.reason
-        for party in excinfo.value.parties.values():
-            assert party.aborted
-            assert party.view_matrices() == {}
+        abort = session_abort(*uniform_rows(13), 13, tcp=True, timeout_s=5.0)
+        assert (abort.role, abort.seq) == (Role.CLIENT_B, 3)
+        assert reason in abort.reason
 
     def test_abort_attribution_under_thread_switch_stress(self):
         # 48 tampered sessions, alternating bus and TCP, each seq twice on
         # each; a lost or late first failure would misattribute an abort.
-        hyper = BlsHyperParams(map_groups=2, map_dim=4)
-        rng = np.random.default_rng(15)
-        xa, xb = rng.uniform(0, 1, (4, 3)), rng.uniform(0, 1, (5, 3))
+        rows = uniform_rows(15)
         baseline = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for i in range(48):
                 seq = i // 2 % 12 + 1
-                receiver = RECEIVER_OF_SEQ[seq]
-                endpoints = make_tcp_endpoints() if i % 2 else make_bus_endpoints()
-                endpoints[receiver] = RewriteEndpoint(endpoints[receiver], seq, widen_first_payload)
-                try:
-                    with pytest.raises(ProtocolAbort) as excinfo:
-                        run_protocol(
-                            xa, xb, hyper, party_rngs(i), endpoints=endpoints, timeout_s=5.0
-                        )
-                finally:
-                    for ep in endpoints.values():
-                        ep.close()
-                assert (excinfo.value.role, excinfo.value.seq) == (receiver, seq), i
+                abort = session_abort(*rows, i, seq=seq, tcp=bool(i % 2), timeout_s=5.0,
+                                      rewrite=widen_first_payload)
+                assert (abort.role, abort.seq) == (RECEIVER_OF_SEQ[seq], seq), i
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == baseline
 
 
 def tampered_abort(seq, rewrite):
-    """The abort of a small session whose ``seq`` message is rewritten at its
-    receiver; every party must end zeroized."""
-    hyper = BlsHyperParams(map_groups=2, map_dim=4)
-    rng = np.random.default_rng(18)
-    xa, xb = rng.uniform(0, 1, (4, 3)), rng.uniform(0, 1, (5, 3))
-    receiver = RECEIVER_OF_SEQ[seq]
-    endpoints = make_bus_endpoints()
-    endpoints[receiver] = RewriteEndpoint(endpoints[receiver], seq, rewrite)
-    with pytest.raises(ProtocolAbort) as excinfo:
-        run_protocol(xa, xb, hyper, party_rngs(18), endpoints=endpoints, timeout_s=2.0)
-    for party in excinfo.value.parties.values():
-        assert party.aborted
-        assert party.view_matrices() == {}
-    return excinfo.value
+    """The abort of a small session whose ``seq`` message is rewritten at its receiver."""
+    return session_abort(*uniform_rows(18), 18, seq=seq, rewrite=rewrite)
 
 
 class TestScheduleShapes:
@@ -889,45 +804,10 @@ class TestAbortElapsed:
         assert 0 < abort.elapsed_s < time.perf_counter() - started
 
     def test_stalled_session_waits_out_the_timeout(self):
-        class DropSeq3:
-            def __init__(self, inner):
-                self._inner, self.role = inner, inner.role
-
-            def send(self, msg):
-                if msg.seq != 3:
-                    self._inner.send(msg)
-
-            def recv(self, sender, timeout=None):
-                return self._inner.recv(sender, timeout)
-
-            def close(self):
-                self._inner.close()
-
-        endpoints = make_bus_endpoints()
-        endpoints[Role.CLIENT_A] = DropSeq3(endpoints[Role.CLIENT_A])
         started = time.perf_counter()
-        with pytest.raises(ProtocolAbort) as excinfo:
-            run_once(np.ones((2, 2)), np.ones((2, 2)), BlsHyperParams(map_groups=2, map_dim=4),
-                     endpoints=endpoints, timeout_s=0.3)
-        assert "TransportTimeout" in excinfo.value.reason
-        assert 0.3 <= excinfo.value.elapsed_s < time.perf_counter() - started
-
-
-class DropEndpoint:
-    """Swallows the ``seq`` message at its sender."""
-
-    def __init__(self, inner, seq):
-        self._inner, self._seq, self.role = inner, seq, inner.role
-
-    def send(self, msg):
-        if msg.seq != self._seq:
-            self._inner.send(msg)
-
-    def recv(self, sender, timeout=None):
-        return self._inner.recv(sender, timeout)
-
-    def close(self):
-        self._inner.close()
+        abort = session_abort(np.ones((2, 2)), np.ones((2, 2)), 0, seq=3, drop=True, timeout_s=0.3)
+        assert "TransportTimeout" in abort.reason
+        assert 0.3 <= abort.elapsed_s < time.perf_counter() - started
 
 
 class TestStalledSession:
@@ -937,12 +817,8 @@ class TestStalledSession:
     @pytest.mark.parametrize("seq", range(1, 13))
     def test_dropped_message_aborts_at_its_receiver(self, seq):
         _, sender, receiver, kind, _ = SCHEDULE[seq - 1]
-        endpoints = make_bus_endpoints()
-        endpoints[sender] = DropEndpoint(endpoints[sender], seq)
-        with pytest.raises(ProtocolAbort) as excinfo:
-            run_once(np.ones((2, 2)), np.ones((3, 2)), BlsHyperParams(map_groups=2, map_dim=4),
-                     endpoints=endpoints, timeout_s=0.2)
-        abort = excinfo.value
+        abort = session_abort(np.ones((2, 2)), np.ones((3, 2)), 0, seq=seq, drop=True,
+                              timeout_s=0.2)
         assert (abort.role, abort.seq) == (receiver, seq)
         if seq == 10:
             # B's seq 12 follows seq 10 on the same queue, and overtakes it.
@@ -951,9 +827,6 @@ class TestStalledSession:
             assert abort.reason.startswith(
                 f"TransportTimeout: seq {seq} {kind.name} from {sender.name} did not arrive"
             )
-        for party in abort.parties.values():
-            assert party.aborted
-            assert party.view_matrices() == {}
 
 
 class TestStepShapeChecks:

@@ -211,56 +211,63 @@ class TestReceiveTimeout:
             receive_timeout_s(value)
 
 
+@pytest.fixture
+def tcp_trio():
+    """A TCP endpoint trio, closed after the test whatever its outcome."""
+    endpoints = make_tcp_endpoints()
+    yield endpoints
+    for ep in endpoints.values():
+        ep.close()
+
+
+def assert_setup_fails_cleanly(error, match=None, listen=None):
+    """``make_tcp_endpoints(listen)`` raises ``error`` matching ``match``, and
+    leaves no thread and no unclosed socket (which warns once collected)."""
+    baseline = threading.active_count()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error, match=match):
+            make_tcp_endpoints(listen=listen)
+        gc.collect()
+    assert [str(w.message) for w in caught] == []
+    assert threading.active_count() == baseline
+
+
 class TestTcp:
-    def test_all_pairs_deliver_and_roundtrip(self):
-        endpoints = make_tcp_endpoints()
-        try:
-            pairs = [
-                (Role.SERVER, Role.CLIENT_A, 1, MessageKind.DATA_MASK),
-                (Role.SERVER, Role.CLIENT_B, 2, MessageKind.KEY_MASKS),
-                (Role.CLIENT_A, Role.CLIENT_B, 3, MessageKind.BLINDED_DATA),
-                (Role.CLIENT_B, Role.CLIENT_A, 4, MessageKind.BLINDED_KEY_AND_CROSS),
-                (Role.CLIENT_A, Role.SERVER, 5, MessageKind.UNBLINDED_CROSS),
-                (Role.CLIENT_B, Role.SERVER, 12, MessageKind.OWN_PRODUCT_B),
-            ]
-            rng = np.random.default_rng(3)
-            for sender, receiver, seq, kind in pairs:
-                payloads = [rng.standard_normal((3, 4))]
-                if kind in (MessageKind.KEY_MASKS, MessageKind.BLINDED_KEY_AND_CROSS):
-                    payloads.append(rng.standard_normal((2, 2)))
-                m = msg(payloads, seq=seq, sender=sender, receiver=receiver, kind=kind)
-                endpoints[sender].send(m)
-                got = endpoints[receiver].recv(sender, timeout=5.0)
-                assert got.seq == seq and got.kind == kind
-                for a, b in zip(m.payloads, got.payloads):
-                    assert a.tobytes() == b.tobytes()
-        finally:
-            for ep in endpoints.values():
-                ep.close()
+    def test_all_pairs_deliver_and_roundtrip(self, tcp_trio):
+        pairs = [
+            (Role.SERVER, Role.CLIENT_A, 1, MessageKind.DATA_MASK),
+            (Role.SERVER, Role.CLIENT_B, 2, MessageKind.KEY_MASKS),
+            (Role.CLIENT_A, Role.CLIENT_B, 3, MessageKind.BLINDED_DATA),
+            (Role.CLIENT_B, Role.CLIENT_A, 4, MessageKind.BLINDED_KEY_AND_CROSS),
+            (Role.CLIENT_A, Role.SERVER, 5, MessageKind.UNBLINDED_CROSS),
+            (Role.CLIENT_B, Role.SERVER, 12, MessageKind.OWN_PRODUCT_B),
+        ]
+        rng = np.random.default_rng(3)
+        for sender, receiver, seq, kind in pairs:
+            payloads = [rng.standard_normal((3, 4))]
+            if kind in (MessageKind.KEY_MASKS, MessageKind.BLINDED_KEY_AND_CROSS):
+                payloads.append(rng.standard_normal((2, 2)))
+            m = msg(payloads, seq=seq, sender=sender, receiver=receiver, kind=kind)
+            tcp_trio[sender].send(m)
+            got = tcp_trio[receiver].recv(sender, timeout=5.0)
+            assert got.seq == seq and got.kind == kind
+            for a, b in zip(m.payloads, got.payloads):
+                assert a.tobytes() == b.tobytes()
 
-    def test_fifo_order_on_stream(self):
-        endpoints = make_tcp_endpoints()
-        try:
-            for seq in (1, 7):
-                endpoints[Role.SERVER].send(
-                    msg([np.full((1, 1), float(seq))], seq=seq,
-                        sender=Role.SERVER, receiver=Role.CLIENT_A,
-                        kind=MessageKind.DATA_MASK if seq == 1 else MessageKind.KEY_MASKS)
-                )
-            assert endpoints[Role.CLIENT_A].recv(Role.SERVER, 5.0).seq == 1
-            assert endpoints[Role.CLIENT_A].recv(Role.SERVER, 5.0).seq == 7
-        finally:
-            for ep in endpoints.values():
-                ep.close()
+    def test_fifo_order_on_stream(self, tcp_trio):
+        for seq in (1, 7):
+            tcp_trio[Role.SERVER].send(
+                msg([np.full((1, 1), float(seq))], seq=seq,
+                    sender=Role.SERVER, receiver=Role.CLIENT_A,
+                    kind=MessageKind.DATA_MASK if seq == 1 else MessageKind.KEY_MASKS)
+            )
+        assert tcp_trio[Role.CLIENT_A].recv(Role.SERVER, 5.0).seq == 1
+        assert tcp_trio[Role.CLIENT_A].recv(Role.SERVER, 5.0).seq == 7
 
-    def test_recv_timeout(self):
-        endpoints = make_tcp_endpoints()
-        try:
-            with pytest.raises((TransportTimeout, TransportClosed)):
-                endpoints[Role.SERVER].recv(Role.CLIENT_A, timeout=0.2)
-        finally:
-            for ep in endpoints.values():
-                ep.close()
+    def test_recv_timeout(self, tcp_trio):
+        with pytest.raises((TransportTimeout, TransportClosed)):
+            tcp_trio[Role.SERVER].recv(Role.CLIENT_A, timeout=0.2)
 
     def test_send_on_a_closed_endpoint_raises_transport_closed(self):
         endpoints = make_tcp_endpoints()
@@ -275,29 +282,18 @@ class TestTcp:
     def test_busy_listen_address_fails_setup_and_closes_every_socket(self, role):
         # The server binds first, so a busy client A address also tests that
         # the already bound server listener is closed.
-        baseline = threading.active_count()
         with socket.socket() as busy:
             busy.bind(("127.0.0.1", 0))
             busy.listen(1)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                with pytest.raises(TransportClosed, match="tcp setup failed"):
-                    make_tcp_endpoints(listen={role: busy.getsockname()})
-                gc.collect()
-        assert [str(w.message) for w in caught] == []
-        assert threading.active_count() == baseline
+            assert_setup_fails_cleanly(TransportClosed, "tcp setup failed",
+                                       listen={role: busy.getsockname()})
 
     def test_interrupted_setup_closes_every_socket_and_is_not_wrapped(self, monkeypatch):
         def interrupt(sock, role):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(transport, "_hello", interrupt)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(KeyboardInterrupt):
-                make_tcp_endpoints()
-            gc.collect()
-        assert [str(w.message) for w in caught] == []
+        assert_setup_fails_cleanly(KeyboardInterrupt)
 
     def test_hello_naming_a_role_twice_fails_setup_and_closes_every_socket(self, monkeypatch):
         # Client B's dial to the server says it is client A; dials run in DIALS order.
@@ -308,49 +304,25 @@ class TestTcp:
             real_hello(sock, claim)
 
         monkeypatch.setattr(transport, "_hello", spoof)
-        baseline = threading.active_count()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(TransportClosed, match="unexpected hello from CLIENT_A at SERVER"):
-                make_tcp_endpoints()
-            gc.collect()
-        assert [str(w.message) for w in caught] == []
-        assert threading.active_count() == baseline
+        assert_setup_fails_cleanly(TransportClosed, "unexpected hello from CLIENT_A at SERVER")
 
-    def test_cannot_spoof_sender(self):
-        endpoints = make_tcp_endpoints()
-        try:
-            with pytest.raises(ValueError, match="^SERVER endpoint cannot send as CLIENT_A$"):
-                endpoints[Role.SERVER].send(msg([np.ones((1, 1))]))  # sender CLIENT_A
-        finally:
-            for ep in endpoints.values():
-                ep.close()
+    def test_cannot_spoof_sender(self, tcp_trio):
+        with pytest.raises(ValueError, match="^SERVER endpoint cannot send as CLIENT_A$"):
+            tcp_trio[Role.SERVER].send(msg([np.ones((1, 1))]))  # sender CLIENT_A
 
     def test_bad_hello_magic_fails_setup_and_closes_every_socket(self, monkeypatch):
         def foreign_hello(sock, role):
             sock.sendall(transport._HELLO.pack(b"XXXX", transport.VERSION, int(role)))
 
         monkeypatch.setattr(transport, "_hello", foreign_hello)
-        baseline = threading.active_count()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(TransportClosed, match="^tcp setup failed: bad connection hello$"):
-                make_tcp_endpoints()
-            gc.collect()
-        assert [str(w.message) for w in caught] == []
-        assert threading.active_count() == baseline
+        assert_setup_fails_cleanly(TransportClosed, "^tcp setup failed: bad connection hello$")
 
-    def test_frame_claiming_another_sender_rejected(self):
-        endpoints = make_tcp_endpoints()
-        try:
-            forged = msg([[[1.0]]], seq=1, sender=Role.SERVER, receiver=Role.CLIENT_A,
-                         kind=MessageKind.DATA_MASK)
-            endpoints[Role.CLIENT_B]._peers[Role.CLIENT_A].sendall(encode_message(forged))
-            with pytest.raises(FrameError, match="CLIENT_B connection claims sender SERVER"):
-                endpoints[Role.CLIENT_A].recv(Role.CLIENT_B, timeout=5.0)
-        finally:
-            for ep in endpoints.values():
-                ep.close()
+    def test_frame_claiming_another_sender_rejected(self, tcp_trio):
+        forged = msg([[[1.0]]], seq=1, sender=Role.SERVER, receiver=Role.CLIENT_A,
+                     kind=MessageKind.DATA_MASK)
+        tcp_trio[Role.CLIENT_B]._peers[Role.CLIENT_A].sendall(encode_message(forged))
+        with pytest.raises(FrameError, match="CLIENT_B connection claims sender SERVER"):
+            tcp_trio[Role.CLIENT_A].recv(Role.CLIENT_B, timeout=5.0)
 
 
 class TestReadFrame:
@@ -597,14 +569,7 @@ class TestV2Frame:
             sock.sendall(transport._HELLO.pack(transport.MAGIC, 1, int(role)))
 
         monkeypatch.setattr(transport, "_hello", v1_hello)
-        baseline = threading.active_count()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(TransportClosed, match="^tcp setup failed: bad connection hello$"):
-                make_tcp_endpoints()
-            gc.collect()
-        assert [str(w.message) for w in caught] == []
-        assert threading.active_count() == baseline
+        assert_setup_fails_cleanly(TransportClosed, "^tcp setup failed: bad connection hello$")
 
     def test_payloads_from_read_frame_are_aligned_writable_views_of_the_frame(self):
         rng = np.random.default_rng(8)
