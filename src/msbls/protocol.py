@@ -28,6 +28,12 @@ mixes all four blocks with a locally drawn mix key. Exactly 12
 matrix-bearing messages are exchanged for any input size. Any out-of-order,
 malformed, or missing message aborts the session: no features are released
 and every party zeroizes its held matrices.
+
+The schedule gives one party work at a time. Over endpoints whose sends never
+block (the in-process bus), ``run_protocol`` therefore runs all three parties
+on the calling thread, row by row (``_drive_in_order``). Over TCP each party
+runs on its own thread (``_drive_party``): a frame's ``sendall`` blocks until
+the peer reads it, which on one thread would never happen.
 """
 
 from __future__ import annotations
@@ -561,6 +567,31 @@ def _drive_party(party, endpoint, timeout, record, fail):
         fail(party, seq, exc)
 
 
+def _drive_in_order(parties, endpoints, timeout, record, fail):
+    """Drive every party on the calling thread, one ``SCHEDULE`` row at a
+    time: each row's receiver takes its message from its endpoint and handles
+    it, and what a party's handling returns is sent before the next row. Only
+    for endpoints whose ``send`` never blocks. The first failure goes to
+    ``fail`` as in ``_drive_party``, with the seq that was being sent or
+    awaited; an interrupt or exit is raised on after it."""
+    party, seq = parties[Role.SERVER], None
+    try:
+        outbox = [msg for p in parties.values() for msg in p.start()]
+        # The last row's receiver, the server, sends nothing after it.
+        for row in SCHEDULE:
+            for out in outbox:
+                party, seq = parties[out.sender], out.seq
+                record(out)
+                endpoints[out.sender].send(out)
+            seq, sender, receiver = row[:3]
+            party = parties[receiver]
+            outbox = party.handle(endpoints[receiver].recv(sender, timeout))
+    except BaseException as exc:
+        fail(party, seq, exc)
+        if not isinstance(exc, Exception):
+            raise
+
+
 def run_protocol(
     x_a,
     x_b,
@@ -578,7 +609,11 @@ def run_protocol(
     ``keys`` reuses persisted per-client key halves and the server mix key
     (masks are always fresh); otherwise keys are drawn from the per-role
     streams in ``rngs``. ``endpoints`` defaults to the in-process bus; a TCP
-    endpoint trio gives the identical result bit for bit. ``message_tap``,
+    endpoint trio gives the identical result bit for bit. When every endpoint
+    is ``buffered`` (the bus), the parties run on the calling thread and no
+    thread is started; otherwise each party runs on its own thread, because a
+    TCP send blocks until its peer reads. Both ways share the transcript, the
+    tap, the abort attribution and ``elapsed_s``. ``message_tap``,
     when set, sees every sent message (diagnostics only; the transcript
     itself records metadata, never payloads). ``timeout_s`` bounds every
     receive; it defaults to MSBLS_TIMEOUT_MS (``transport.receive_timeout_s``).
@@ -648,18 +683,21 @@ def run_protocol(
                 for ep in endpoints.values():
                     ep.close()
 
-    threads = [
-        threading.Thread(
-            target=_drive_party,
-            args=(party, endpoints[role], timeout, record, fail),
-            daemon=True,
-        )
-        for role, party in parties.items()
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    if all(getattr(ep, "buffered", False) for ep in endpoints.values()):
+        _drive_in_order(parties, endpoints, timeout, record, fail)
+    else:
+        threads = [
+            threading.Thread(
+                target=_drive_party,
+                args=(party, endpoints[role], timeout, record, fail),
+                daemon=True,
+            )
+            for role, party in parties.items()
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
     if own_endpoints:
         for ep in endpoints.values():
             ep.close()

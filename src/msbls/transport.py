@@ -19,7 +19,10 @@ checksum mismatch reject the frame without state change. Each backend gives
 every role an endpoint with ``role``, ``send(msg)``, ``recv(sender,
 timeout)`` and ``close()``. Delivery is FIFO per directed (sender, receiver)
 pair; ``recv`` raises TransportTimeout if nothing comes in time,
-TransportClosed once closed.
+TransportClosed once closed. A bus endpoint is also ``buffered``: its send
+never blocks, so one thread can run every party of a bus session. A TCP send
+blocks in ``sendall`` until the peer has read what the socket buffers cannot
+hold, so a TCP session runs one thread per party.
 """
 
 from __future__ import annotations
@@ -170,6 +173,10 @@ def decode_message(data) -> ProtocolMessage:
 
 
 class _BusEndpoint:
+    # A send only appends to a queue, so one thread can send and receive for
+    # every role: ``run_protocol`` drives a bus session on its caller's thread.
+    buffered = True
+
     def __init__(self, role: Role, queues, closed: threading.Event):
         self.role = role
         self._queues = queues

@@ -7,6 +7,7 @@ import socket
 import struct
 import subprocess
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -403,7 +404,8 @@ class TestTimeoutVariable:
     @pytest.mark.parametrize("value", ["abc", "-5", "0", "nan", "inf"])
     def test_bad_value_ends_a_masked_run_cleanly(self, value, monkeypatch):
         started = []
-        monkeypatch.setattr(protocol, "_drive_party", lambda *args: started.append(args))
+        for drive in ("_drive_party", "_drive_in_order"):
+            monkeypatch.setattr(protocol, drive, lambda *args: started.append(args))
         monkeypatch.setenv("MSBLS_TIMEOUT_MS", value)
         result = CliRunner().invoke(
             main,
@@ -741,6 +743,35 @@ class TestOneTrioPerRun:
             run_msbls(train, test, small_config(transport=transport_name), seed=0)
         assert len(calls) == 2 and calls[0] is calls[1] is made[0]
         self.assert_all_closed(made, closed)
+
+
+class TestPartyThreads:
+    """An in-process masked run starts no thread; over TCP each of its
+    sessions runs one thread per party."""
+
+    @pytest.mark.parametrize("transport_name, party_threads", [("inproc", 0), ("tcp", 3)])
+    def test_live_threads_while_each_message_is_sent(self, small_desk_data, monkeypatch,
+                                                      transport_name, party_threads):
+        train, test = small_desk_data
+        run_protocol = experiment.run_protocol
+        counts = []
+
+        def tapped(*args, **kwargs):
+            return run_protocol(
+                *args, message_tap=lambda msg: counts.append(threading.active_count()), **kwargs
+            )
+
+        monkeypatch.setattr(experiment, "run_protocol", tapped)
+        baseline = threading.active_count()
+        run_msbls(train, test, small_config(transport=transport_name), seed=0)
+        assert len(counts) == 24
+        assert max(counts) == baseline + party_threads
+        if party_threads:
+            # The server's thread may send seq 1 before the clients' threads start.
+            assert min(counts) > baseline
+        else:
+            assert min(counts) == baseline
+        assert threading.active_count() == baseline
 
 
 class TestReadoutAppliesTheModel:

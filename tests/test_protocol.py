@@ -434,7 +434,7 @@ class FaultyEndpoint:
 
     def __init__(self, inner, seq, rewrite=None, drop=False):
         self._inner, self._seq, self._rewrite, self._drop = inner, seq, rewrite, drop
-        self.role = inner.role
+        self.role, self.buffered = inner.role, getattr(inner, "buffered", False)
 
     def send(self, msg):
         if not (self._drop and msg.seq == self._seq):
@@ -519,7 +519,8 @@ class TestAbort:
     @pytest.mark.parametrize("timeout_s", [-1.0, 0.0, float("nan"), float("inf")])
     def test_bad_timeout_rejected_before_any_party_starts(self, timeout_s, monkeypatch):
         started = []
-        monkeypatch.setattr(protocol, "_drive_party", lambda *args: started.append(args))
+        for drive in ("_drive_party", "_drive_in_order"):
+            monkeypatch.setattr(protocol, drive, lambda *args: started.append(args))
         hyper = BlsHyperParams(map_groups=2, map_dim=4)
         with pytest.raises(ValueError, match="^timeout_s must be in"):
             run_once(np.ones((2, 2)), np.ones((2, 2)), hyper, timeout_s=timeout_s)
@@ -827,6 +828,91 @@ class TestStalledSession:
             assert abort.reason.startswith(
                 f"TransportTimeout: seq {seq} {kind.name} from {sender.name} did not arrive"
             )
+
+
+class TestSessionThreads:
+    """A session over the bus, whose sends never block, runs every party on
+    the calling thread; a TCP session runs each party on its own thread."""
+
+    @staticmethod
+    def senders(**kwargs):
+        """(sender, sending thread, live thread count) of each message of a session."""
+        seen = []
+
+        def tap(msg):
+            seen.append((msg.sender, threading.current_thread(), threading.active_count()))
+
+        res = run_once(*uniform_rows(20), BlsHyperParams(map_groups=2, map_dim=4),
+                       message_tap=tap, **kwargs)
+        assert res.message_count == len(seen) == 12
+        return seen
+
+    def test_bus_session_starts_no_thread(self):
+        baseline = threading.active_count()
+        seen = self.senders()
+        assert {(thread, count) for _, thread, count in seen} == {
+            (threading.current_thread(), baseline)
+        }
+
+    def test_tcp_session_runs_one_thread_per_party(self):
+        baseline = threading.active_count()
+        endpoints = make_tcp_endpoints()
+        try:
+            seen = self.senders(endpoints=endpoints)
+        finally:
+            for ep in endpoints.values():
+                ep.close()
+        threads = {sender: {t for s, t, _ in seen if s == sender} for sender in Role}
+        assert all(len(ts) == 1 for ts in threads.values())
+        party_threads = set.union(*threads.values())
+        assert len(party_threads) == 3 and threading.current_thread() not in party_threads
+        # When A sends seq 9, B waits for it and the server for seq 10: all three live.
+        assert max(count for _, _, count in seen) == baseline + 3
+        assert threading.active_count() == baseline
+
+    def test_interrupt_in_a_bus_session_is_raised_unwrapped(self, monkeypatch):
+        def interrupt(party, msg):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(protocol.ClientParty, "_on_blinded_data", interrupt)
+        endpoints = make_bus_endpoints()
+        with pytest.raises(KeyboardInterrupt):
+            run_once(*uniform_rows(21), BlsHyperParams(map_groups=2, map_dim=4),
+                     endpoints=endpoints)
+        with pytest.raises(transport.TransportClosed):
+            endpoints[Role.SERVER].recv(Role.CLIENT_A, 0.1)
+
+    @staticmethod
+    def spy_on_drives(monkeypatch):
+        """A list that gets the role of each party ``_drive_party`` starts,
+        and "in order" for each call of ``_drive_in_order``."""
+        started = []
+        drive_party, drive_in_order = protocol._drive_party, protocol._drive_in_order
+
+        def party_thread(party, *args):
+            started.append(party.role)
+            drive_party(party, *args)
+
+        def in_order(*args):
+            started.append("in order")
+            drive_in_order(*args)
+
+        monkeypatch.setattr(protocol, "_drive_party", party_thread)
+        monkeypatch.setattr(protocol, "_drive_in_order", in_order)
+        return started
+
+    @pytest.mark.parametrize("seq", [3, 10])
+    def test_dropped_message_gives_the_same_abort_on_both_backends(self, seq, monkeypatch):
+        started = self.spy_on_drives(monkeypatch)
+        aborts = [
+            session_abort(np.ones((2, 2)), np.ones((3, 2)), 0, seq=seq, drop=True, tcp=tcp,
+                          timeout_s=0.2)
+            for tcp in (False, True)
+        ]
+        bus, tcp = ((a.role, a.seq, a.reason) for a in aborts)
+        assert bus == tcp
+        assert bus[:2] == (SCHEDULE[seq - 1][2], seq)
+        assert started[0] == "in order" and sorted(started[1:]) == sorted(Role)
 
 
 class TestStepShapeChecks:
