@@ -29,17 +29,14 @@ matrix-bearing messages are exchanged for any input size. Any out-of-order,
 malformed, or missing message aborts the session: no features are released
 and every party zeroizes its held matrices.
 
-The schedule gives one party work at a time. Over endpoints whose sends never
-block (the in-process bus), ``run_protocol`` therefore runs all three parties
-on the calling thread, row by row (``_drive_in_order``). Over TCP each party
-runs on its own thread (``_drive_party``): a frame's ``sendall`` blocks until
-the peer reads it, which on one thread would never happen.
+The schedule gives one party work at a time, and no endpoint's send waits
+for its receiver, so ``run_protocol`` runs all three parties on the calling
+thread, row by row (``_drive_in_order``), over the bus and over TCP alike.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
 from dataclasses import asdict, dataclass
 
@@ -547,33 +544,13 @@ class SessionResult:
         return "\n".join(json.dumps(e.to_dict()) for e in self.transcript)
 
 
-def _drive_party(party, endpoint, timeout, record, fail):
-    """Send and receive on the party's schedule; hand any failure to ``fail``
-    with the seq that was being sent or awaited."""
-    seq = None
-    try:
-        outbox = party.start()
-        while True:
-            for out in outbox:
-                seq = out.seq
-                record(out)
-                endpoint.send(out)
-            expected = party.expected_receive()
-            if expected is None:
-                return
-            seq, sender = expected[:2]
-            outbox = party.handle(endpoint.recv(sender, timeout))
-    except BaseException as exc:
-        fail(party, seq, exc)
-
-
 def _drive_in_order(parties, endpoints, timeout, record, fail):
     """Drive every party on the calling thread, one ``SCHEDULE`` row at a
     time: each row's receiver takes its message from its endpoint and handles
-    it, and what a party's handling returns is sent before the next row. Only
-    for endpoints whose ``send`` never blocks. The first failure goes to
-    ``fail`` as in ``_drive_party``, with the seq that was being sent or
-    awaited; an interrupt or exit is raised on after it."""
+    it, and what a party's handling returns is sent before the next row. Each
+    ``send`` must return without waiting for its receiver. The first failure
+    goes to ``fail(party, seq, exc)``, with the party and seq that were being
+    sent or awaited; an interrupt or exit is raised on after it."""
     party, seq = parties[Role.SERVER], None
     try:
         outbox = [msg for p in parties.values() for msg in p.start()]
@@ -609,11 +586,9 @@ def run_protocol(
     ``keys`` reuses persisted per-client key halves and the server mix key
     (masks are always fresh); otherwise keys are drawn from the per-role
     streams in ``rngs``. ``endpoints`` defaults to the in-process bus; a TCP
-    endpoint trio gives the identical result bit for bit. When every endpoint
-    is ``buffered`` (the bus), the parties run on the calling thread and no
-    thread is started; otherwise each party runs on its own thread, because a
-    TCP send blocks until its peer reads. Both ways share the transcript, the
-    tap, the abort attribution and ``elapsed_s``. ``message_tap``,
+    endpoint trio gives the identical result bit for bit. Either way the
+    parties run on the calling thread and no thread is started, so an
+    endpoint's ``send`` must not wait for its receiver. ``message_tap``,
     when set, sees every sent message (diagnostics only; the transcript
     itself records metadata, never payloads). ``timeout_s`` bounds every
     receive; it defaults to MSBLS_TIMEOUT_MS (``transport.receive_timeout_s``).
@@ -653,10 +628,9 @@ def run_protocol(
         endpoints = transport.make_bus_endpoints()
 
     transcript: list[TranscriptEntry] = []
-    log_lock = threading.Lock()
 
     def record(msg: ProtocolMessage):
-        entry = TranscriptEntry(
+        transcript.append(TranscriptEntry(
             session_id=msg.session_id.hex(),
             seq=msg.seq,
             sender=msg.sender.name,
@@ -664,58 +638,33 @@ def run_protocol(
             kind=msg.kind.name,
             payload_shapes=msg.payload_shapes(),
             byte_length=msg.encoded_size,
-        )
-        with log_lock:
-            transcript.append(entry)
-            if message_tap is not None:
-                message_tap(msg)
+        ))
+        if message_tap is not None:
+            message_tap(msg)
 
-    failures: list[tuple[Role, int | None, BaseException, float]] = []
+    failure = None
 
     def fail(party: Party, seq, exc: BaseException):
-        elapsed = time.perf_counter() - started
+        nonlocal failure
+        failure = (party.role, seq, exc, time.perf_counter() - started)
         party.zeroize()
-        with log_lock:
-            failures.append((party.role, seq, exc, elapsed))
-            if len(failures) == 1:
-                # The first failure ends the session: closing every endpoint
-                # unblocks the peers, whose own failures are only fallout.
-                for ep in endpoints.values():
-                    ep.close()
+        for ep in endpoints.values():
+            ep.close()
 
-    if all(getattr(ep, "buffered", False) for ep in endpoints.values()):
-        _drive_in_order(parties, endpoints, timeout, record, fail)
-    else:
-        threads = [
-            threading.Thread(
-                target=_drive_party,
-                args=(party, endpoints[role], timeout, record, fail),
-                daemon=True,
-            )
-            for role, party in parties.items()
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+    _drive_in_order(parties, endpoints, timeout, record, fail)
     if own_endpoints:
         for ep in endpoints.values():
             ep.close()
 
-    if failures:
+    if failure is not None:
         for party in parties.values():
             party.zeroize()
-        role, seq, first, elapsed = failures[0]
+        role, seq, first, elapsed = failure
         abort = first
         if not isinstance(first, ProtocolAbort):
             detail = str(first)
             if isinstance(first, transport.TransportTimeout):
-                # Each receive waits its full timeout from its own start, so
-                # the first to time out is the longest waiter, not the party
-                # whose message never came: name the earliest one awaited.
-                seq, sender, role, kind, _ = min(
-                    filter(None, (party.expected_receive() for party in parties.values()))
-                )
+                _, sender, _, kind, _ = SCHEDULE[seq - 1]
                 detail = f"seq {seq} {kind.name} from {sender.name} did not arrive within {timeout}s"
             abort = ProtocolAbort(role, seq, f"{type(first).__name__}: {detail}")
             abort.__cause__ = first

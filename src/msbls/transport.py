@@ -19,22 +19,25 @@ checksum mismatch reject the frame without state change. Each backend gives
 every role an endpoint with ``role``, ``send(msg)``, ``recv(sender,
 timeout)`` and ``close()``. Delivery is FIFO per directed (sender, receiver)
 pair; ``recv`` raises TransportTimeout if nothing comes in time,
-TransportClosed once closed. A bus endpoint is also ``buffered``: its send
-never blocks, so one thread can run every party of a bus session. A TCP send
-blocks in ``sendall`` until the peer has read what the socket buffers cannot
-hold, so a TCP session runs one thread per party.
+TransportClosed once closed. No send ever waits for its receiver, so one
+thread can run every party of a session: a bus send appends to a queue, and
+a TCP send writes what its socket takes at once and queues the rest on a
+write queue that the trio shares. A TCP receive then writes that queue out
+while it waits for its own frame, so a frame larger than the socket buffers
+drains while its receiver reads it, under the receive's deadline.
 """
 
 from __future__ import annotations
 
 import os
 import queue
+import select
 import socket
 import struct
 import threading
 import time
 import zlib
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 
@@ -173,10 +176,6 @@ def decode_message(data) -> ProtocolMessage:
 
 
 class _BusEndpoint:
-    # A send only appends to a queue, so one thread can send and receive for
-    # every role: ``run_protocol`` drives a bus session on its caller's thread.
-    buffered = True
-
     def __init__(self, role: Role, queues, closed: threading.Event):
         self.role = role
         self._queues = queues
@@ -225,17 +224,87 @@ def _deadline(sock: socket.socket) -> float | None:
     return None if timeout is None else time.monotonic() + timeout
 
 
-def _recv_into(sock: socket.socket, view: memoryview, deadline: float | None) -> None:
-    """Fill ``view`` from ``sock``. Each wait gets only the time left before
-    ``deadline``; the socket's own timeout is restored afterwards."""
+# poll() takes a C int of milliseconds; a longer wait is made of several.
+_POLL_MAX_MS = 2**31 - 1
+
+
+class _WriteQueue:
+    """The frames that a TCP trio's endpoints have sent and their sockets have
+    not taken yet, per socket in send order. Nothing here waits: each write
+    hands a socket only what it takes at once."""
+
+    def __init__(self):
+        self._frames: dict[socket.socket, deque[memoryview]] = {}
+
+    def __bool__(self) -> bool:
+        return bool(self._frames)
+
+    def put(self, sock: socket.socket, frame: bytes) -> None:
+        """Queue ``frame`` behind what ``sock`` already holds queued, and
+        write what the socket takes if nothing was ahead of it."""
+        frames = self._frames.setdefault(sock, deque())
+        frames.append(memoryview(frame))
+        if len(frames) == 1:
+            self._write(sock)
+
+    def drop(self, socks) -> None:
+        for sock in socks:
+            self._frames.pop(sock, None)
+
+    def pump(self, sock: socket.socket, timeout: float | None) -> bool:
+        """Wait up to ``timeout`` seconds (None: without end) until ``sock``
+        can be read or a socket with queued bytes can be written, and write
+        what each writable one takes. Returns whether ``sock`` can be read."""
+        poller = select.poll()
+        for queued in self._frames:
+            poller.register(queued, select.POLLOUT)
+        poller.register(sock, select.POLLIN | (select.POLLOUT if sock in self._frames else 0))
+        queued = {s.fileno(): s for s in self._frames}
+        ms = None if timeout is None else min(timeout * 1e3, _POLL_MAX_MS)
+        readable = False
+        for fd, events in poller.poll(ms):
+            # An error or hang-up shows as ready: the read or write then raises it.
+            if fd == sock.fileno() and events & ~select.POLLOUT:
+                readable = True
+            if fd in queued and events & ~select.POLLIN:
+                self._write(queued[fd])
+        return readable
+
+    def _write(self, sock: socket.socket) -> None:
+        frames = self._frames[sock]
+        timeout = sock.gettimeout()
+        sock.settimeout(0.0)
+        try:
+            while frames:
+                frames[0] = frames[0][sock.send(frames[0]):]
+                if frames[0]:
+                    return
+                frames.popleft()
+            del self._frames[sock]
+        except BlockingIOError:
+            pass
+        except OSError as exc:
+            raise TransportClosed(f"send failed: {exc}") from exc
+        finally:
+            sock.settimeout(timeout)
+
+
+def _recv_into(sock: socket.socket, view: memoryview, deadline: float | None,
+               writes: _WriteQueue | None = None) -> None:
+    """Fill ``view`` from ``sock``, writing out ``writes`` while it waits.
+    Each wait gets only the time left before ``deadline``; the socket's own
+    timeout is restored afterwards."""
     timeout = sock.gettimeout()
     try:
         while view:
+            left = None
             if deadline is not None:
                 left = deadline - time.monotonic()
                 if left <= 0:
                     raise TransportTimeout("frame not complete within the receive timeout")
                 sock.settimeout(left)
+            if writes and not writes.pump(sock, left):
+                continue
             try:
                 got = sock.recv_into(view)
             except socket.timeout as exc:
@@ -254,10 +323,10 @@ def _recv_into(sock: socket.socket, view: memoryview, deadline: float | None) ->
 _ALIGN_PAD = -(FRAME_HEADER.size + FRAME_DIMS.size) % WIRE_FLOAT.itemsize
 
 
-def read_frame(sock: socket.socket) -> memoryview:
+def read_frame(sock: socket.socket, writes: _WriteQueue | None = None) -> memoryview:
     """Read exactly one frame off a stream socket and return a writable view
     of exactly its bytes; a bad header or dims raise FrameError before the
-    bytes they announce are read.
+    bytes they announce are read. While it waits, ``writes`` is written out.
 
     The frame lands in one numpy buffer (numpy asks for huge pages for a
     large one and does not zero it), after ``_ALIGN_PAD`` bytes that put
@@ -277,7 +346,7 @@ def read_frame(sock: socket.socket) -> memoryview:
             grown[:end] = buf[:end]
             buf = grown
         view = memoryview(buf)[end : end + n]
-        _recv_into(sock, view, deadline)
+        _recv_into(sock, view, deadline, writes)
         end += n
         return view
 
@@ -286,27 +355,23 @@ def read_frame(sock: socket.socket) -> memoryview:
 
 
 class _TcpEndpoint:
-    def __init__(self, role: Role, peers: dict[Role, socket.socket]):
+    def __init__(self, role: Role, peers: dict[Role, socket.socket], writes: _WriteQueue):
         self.role = role
         self._peers = peers
-        self._send_locks = {peer: threading.Lock() for peer in peers}
+        self._writes = writes
         self._closed = False
 
     def send(self, msg: ProtocolMessage) -> None:
         if msg.sender != self.role:
             raise ValueError(f"{self.role.name} endpoint cannot send as {msg.sender.name}")
-        sock = self._peers[msg.receiver]
-        data = encode_message(msg)
-        with self._send_locks[msg.receiver]:
-            try:
-                sock.sendall(data)
-            except OSError as exc:
-                raise TransportClosed(f"send failed: {exc}") from exc
+        if self._closed:
+            raise TransportClosed("send failed: endpoint is closed")
+        self._writes.put(self._peers[msg.receiver], encode_message(msg))
 
     def recv(self, sender: Role, timeout: float) -> ProtocolMessage:
         sock = self._peers[sender]
         sock.settimeout(timeout)
-        msg = decode_message(read_frame(sock))
+        msg = decode_message(read_frame(sock, self._writes))
         if msg.sender != sender:
             raise FrameError(
                 f"frame from {sender.name} connection claims sender {msg.sender.name}"
@@ -317,6 +382,7 @@ class _TcpEndpoint:
         if self._closed:
             return
         self._closed = True
+        self._writes.drop(self._peers.values())
         for sock in self._peers.values():
             try:
                 sock.shutdown(socket.SHUT_RDWR)
@@ -383,4 +449,5 @@ def make_tcp_endpoints(listen: dict[Role, tuple[str, int]] | None = None) -> dic
     finally:
         for lsock in listeners.values():
             lsock.close()
-    return {role: _TcpEndpoint(role, peers[role]) for role in Role}
+    writes = _WriteQueue()
+    return {role: _TcpEndpoint(role, peers[role], writes) for role in Role}

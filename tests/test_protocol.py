@@ -434,7 +434,7 @@ class FaultyEndpoint:
 
     def __init__(self, inner, seq, rewrite=None, drop=False):
         self._inner, self._seq, self._rewrite, self._drop = inner, seq, rewrite, drop
-        self.role, self.buffered = inner.role, getattr(inner, "buffered", False)
+        self.role = inner.role
 
     def send(self, msg):
         if not (self._drop and msg.seq == self._seq):
@@ -519,8 +519,7 @@ class TestAbort:
     @pytest.mark.parametrize("timeout_s", [-1.0, 0.0, float("nan"), float("inf")])
     def test_bad_timeout_rejected_before_any_party_starts(self, timeout_s, monkeypatch):
         started = []
-        for drive in ("_drive_party", "_drive_in_order"):
-            monkeypatch.setattr(protocol, drive, lambda *args: started.append(args))
+        monkeypatch.setattr(protocol, "_drive_in_order", lambda *args: started.append(args))
         hyper = BlsHyperParams(map_groups=2, map_dim=4)
         with pytest.raises(ValueError, match="^timeout_s must be in"):
             run_once(np.ones((2, 2)), np.ones((2, 2)), hyper, timeout_s=timeout_s)
@@ -831,8 +830,8 @@ class TestStalledSession:
 
 
 class TestSessionThreads:
-    """A session over the bus, whose sends never block, runs every party on
-    the calling thread; a TCP session runs each party on its own thread."""
+    """A session runs every party on the calling thread, over the bus and
+    over TCP: no send waits for its receiver."""
 
     @staticmethod
     def senders(**kwargs):
@@ -854,7 +853,7 @@ class TestSessionThreads:
             (threading.current_thread(), baseline)
         }
 
-    def test_tcp_session_runs_one_thread_per_party(self):
+    def test_tcp_session_starts_no_thread(self):
         baseline = threading.active_count()
         endpoints = make_tcp_endpoints()
         try:
@@ -862,12 +861,9 @@ class TestSessionThreads:
         finally:
             for ep in endpoints.values():
                 ep.close()
-        threads = {sender: {t for s, t, _ in seen if s == sender} for sender in Role}
-        assert all(len(ts) == 1 for ts in threads.values())
-        party_threads = set.union(*threads.values())
-        assert len(party_threads) == 3 and threading.current_thread() not in party_threads
-        # When A sends seq 9, B waits for it and the server for seq 10: all three live.
-        assert max(count for _, _, count in seen) == baseline + 3
+        assert {(thread, count) for _, thread, count in seen} == {
+            (threading.current_thread(), baseline)
+        }
         assert threading.active_count() == baseline
 
     def test_interrupt_in_a_bus_session_is_raised_unwrapped(self, monkeypatch):
@@ -884,20 +880,14 @@ class TestSessionThreads:
 
     @staticmethod
     def spy_on_drives(monkeypatch):
-        """A list that gets the role of each party ``_drive_party`` starts,
-        and "in order" for each call of ``_drive_in_order``."""
+        """A list that gets "in order" for each call of ``_drive_in_order``."""
         started = []
-        drive_party, drive_in_order = protocol._drive_party, protocol._drive_in_order
-
-        def party_thread(party, *args):
-            started.append(party.role)
-            drive_party(party, *args)
+        drive_in_order = protocol._drive_in_order
 
         def in_order(*args):
             started.append("in order")
             drive_in_order(*args)
 
-        monkeypatch.setattr(protocol, "_drive_party", party_thread)
         monkeypatch.setattr(protocol, "_drive_in_order", in_order)
         return started
 
@@ -912,7 +902,7 @@ class TestSessionThreads:
         bus, tcp = ((a.role, a.seq, a.reason) for a in aborts)
         assert bus == tcp
         assert bus[:2] == (SCHEDULE[seq - 1][2], seq)
-        assert started[0] == "in order" and sorted(started[1:]) == sorted(Role)
+        assert started == ["in order", "in order"]
 
 
 class TestStepShapeChecks:

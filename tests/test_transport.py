@@ -325,6 +325,104 @@ class TestTcp:
             tcp_trio[Role.CLIENT_A].recv(Role.CLIENT_B, timeout=5.0)
 
 
+def blinded_data(rows, seq=3, sender=Role.CLIENT_A, receiver=Role.CLIENT_B):
+    """A ``rows`` x 785 frame, as large as a desk client's blinded rows."""
+    return msg([np.random.default_rng(rows).standard_normal((rows, 785))],
+               seq=seq, sender=sender, receiver=receiver)
+
+
+class TestWriteQueue:
+    """A TCP send writes what its socket takes at once and queues the rest on
+    the trio's one write queue; a receive on the trio writes it out."""
+
+    @staticmethod
+    def queued(trio, sender, receiver):
+        """The frames queued on ``sender``'s connection to ``receiver``."""
+        return trio[sender]._writes._frames.get(trio[sender]._peers[receiver], ())
+
+    def test_desk_size_frame_goes_through_one_trio_on_one_thread(self, tcp_trio):
+        m = blinded_data(5000)
+        a, b = tcp_trio[Role.CLIENT_A], tcp_trio[Role.CLIENT_B]
+        sock, peer = a._peers[Role.CLIENT_B], b._peers[Role.CLIENT_A]
+        buffers = (sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+                   + peer.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF))
+        assert len(encode_message(m)) > buffers
+        baseline = threading.active_count()
+        a.send(m)
+        assert len(self.queued(tcp_trio, Role.CLIENT_A, Role.CLIENT_B)) == 1
+        got = b.recv(Role.CLIENT_A, timeout=10.0)
+        assert got.payloads[0].tobytes() == m.payloads[0].tobytes()
+        assert not a._writes
+        assert threading.active_count() == baseline
+
+    def test_frames_queued_on_one_connection_arrive_in_order(self, tcp_trio):
+        first, second = blinded_data(2000), blinded_data(1, seq=9)
+        for m in (first, second):
+            tcp_trio[Role.CLIENT_A].send(m)
+        assert len(self.queued(tcp_trio, Role.CLIENT_A, Role.CLIENT_B)) == 2
+        for m in (first, second):
+            got = tcp_trio[Role.CLIENT_B].recv(Role.CLIENT_A, timeout=10.0)
+            assert got.seq == m.seq
+            assert got.payloads[0].tobytes() == m.payloads[0].tobytes()
+
+    def test_frames_crossing_on_one_connection_both_arrive(self, tcp_trio):
+        # A's receive reads the socket that its own frame is queued on.
+        ab = blinded_data(1000)
+        ba = blinded_data(1200, seq=4, sender=Role.CLIENT_B, receiver=Role.CLIENT_A)
+        tcp_trio[Role.CLIENT_A].send(ab)
+        tcp_trio[Role.CLIENT_B].send(ba)
+        assert tcp_trio[Role.CLIENT_A].recv(Role.CLIENT_B, 10.0).payloads[0].tobytes() == \
+            ba.payloads[0].tobytes()
+        assert tcp_trio[Role.CLIENT_B].recv(Role.CLIENT_A, 10.0).payloads[0].tobytes() == \
+            ab.payloads[0].tobytes()
+        assert not tcp_trio[Role.CLIENT_A]._writes
+
+    def test_longest_accepted_timeout_drains_the_queue(self, tcp_trio):
+        # poll() waits at most 2**31 - 1 ms; a receive may wait far longer.
+        m = blinded_data(2000)
+        tcp_trio[Role.CLIENT_A].send(m)
+        timeout = receive_timeout_s(threading.TIMEOUT_MAX)
+        got = tcp_trio[Role.CLIENT_B].recv(Role.CLIENT_A, timeout)
+        assert got.payloads[0].tobytes() == m.payloads[0].tobytes()
+
+    def test_write_to_a_closed_peer_raises_transport_closed(self, tcp_trio):
+        # B closes with A's first frame unread, which resets the connection.
+        a = tcp_trio[Role.CLIENT_A]
+        a.send(blinded_data(1))
+        tcp_trio[Role.CLIENT_B].close()
+        with pytest.raises(TransportClosed, match="^send failed: "):
+            a.send(blinded_data(1, seq=9))
+
+    def test_failed_write_while_pumping_raises_from_the_receive(self, tcp_trio):
+        a = tcp_trio[Role.CLIENT_A]
+        a.send(blinded_data(5000))
+        tcp_trio[Role.CLIENT_B].close()
+        with pytest.raises(TransportClosed, match="^send failed: "):
+            a.recv(Role.SERVER, timeout=5.0)
+
+    def test_close_leaves_nothing_queued(self, tcp_trio):
+        a = tcp_trio[Role.CLIENT_A]
+        a.send(blinded_data(5000))
+        a.send(blinded_data(5000, seq=5, receiver=Role.SERVER))
+        assert a._writes
+        a.close()
+        assert not a._writes
+        with pytest.raises(TransportClosed, match="^send failed: endpoint is closed$"):
+            a.send(blinded_data(1))
+
+    def test_completed_session_leaves_nothing_queued(self, tcp_trio):
+        from msbls.bls import BlsHyperParams
+        from msbls.protocol import run_protocol
+        from tests.test_protocol import party_rngs
+
+        rng = np.random.default_rng(4)
+        xa, xb = rng.uniform(0, 1, (2000, 200)), rng.uniform(0, 1, (1500, 200))
+        res = run_protocol(xa, xb, BlsHyperParams(map_groups=2, map_dim=4), party_rngs(4),
+                           endpoints=tcp_trio)
+        assert res.message_count == 12
+        assert not tcp_trio[Role.SERVER]._writes
+
+
 class TestReadFrame:
     """read_frame walks the frame off the socket: a bad header fails before
     any further byte is read, and the bytes it returns are the encoded frame."""
