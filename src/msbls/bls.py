@@ -26,6 +26,11 @@ ACTIVATIONS = {
 # The original BLS's shrinkage: enhancement inputs are scaled so that their
 # largest magnitude over the training rows is this value.
 SHRINKAGE = 0.8
+# The shrinkage pass takes its peak over blocks of about this many rows (16 MB
+# of pre-activations at the default 1000 enhancement columns). The blocks are
+# near-equal, so none has a single row: numpy multiplies one row by another
+# BLAS routine, whose sums round differently.
+SHRINK_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -150,13 +155,14 @@ def joint_mapped_features(x_a, x_b, key_a, key_b, mix_key) -> np.ndarray:
 
     Computes the four per-client blocks separately and tiles and mixes them
     with ``assemble_mapped_features``, the server's step in the interactive
-    protocol; with masking disabled the two agree bit for bit.
+    protocol; with masking disabled the two agree bit for bit. One client's
+    augmented copy is alive at a time.
     """
-    xa_aug = augment(x_a)
-    xb_aug = augment(x_b)
-    return assemble_mapped_features(
-        xa_aug @ key_a, xa_aug @ key_b, xb_aug @ key_a, xb_aug @ key_b, mix_key
-    )
+    def products(x):
+        x_aug = augment(x)
+        return x_aug @ key_a, x_aug @ key_b
+
+    return assemble_mapped_features(*products(x_a), *products(x_b), mix_key)
 
 
 def enhancement_features(zn, keys, activation: str = "tanh",
@@ -219,16 +225,19 @@ def shrink_enhancement_keys(zn, keys):
 
     This is the shrinkage scale of the original BLS (Chen & Liu, IEEE TNNLS
     2018): it keeps the activation out of saturation and the readout well
-    conditioned. One group's pre-activation block is alive at a time, and
-    none once this returns. Training and test rows then go through
+    conditioned. The peak is taken over blocks of about
+    ``SHRINK_BLOCK_ROWS`` rows of one group at a time, and no block is alive
+    once this returns. Training and test rows then go through
     ``enhancement_features`` with the same scaled keys.
     """
     peak = 0.0
+    blocks = np.array_split(zn, max(1, -(-len(zn) // SHRINK_BLOCK_ROWS)))
     for weights, bias_row in keys:
-        pre = zn @ weights
-        pre += bias_row
-        peak = max(peak, pre.max(), -pre.min())
-        del pre
+        for block in blocks:
+            pre = block @ weights
+            pre += bias_row
+            peak = max(peak, pre.max(), -pre.min())
+            del pre
     scale = SHRINKAGE / peak
     return [(weights * scale, bias_row * scale) for weights, bias_row in keys]
 

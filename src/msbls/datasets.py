@@ -31,6 +31,9 @@ SYNTHETIC_SIDE = 28
 SYNTHETIC_CLASSES = 10
 SYNTHETIC_MAX_SHIFT = 4.0
 SYNTHETIC_NOISE = 0.18
+# The synthetic build samples this many rows at a time (6.4 MB per block at
+# 784 pixels), so that its corner gathers and blends never span every row.
+SYNTHETIC_BLOCK_ROWS = 1024
 
 # Conventional (images, labels) IDX file names, tried under a data directory.
 _IDX_NAMES = {
@@ -64,7 +67,9 @@ class LabeledDataset:
         return self.x.shape[0]
 
     def take(self, indices, name: str | None = None) -> "LabeledDataset":
-        indices = np.asarray(indices)
+        """The given rows: copies for an index array, views for a slice."""
+        if not isinstance(indices, slice):
+            indices = np.asarray(indices)
         return LabeledDataset(
             x=self.x[indices],
             labels=self.labels[indices],
@@ -150,10 +155,10 @@ def _read_idx_pair(images_path, labels_path):
 
 
 def _idx_dataset(pixels, labels, num_classes: int, name: str) -> LabeledDataset:
-    """Pixels scaled into [0, 1] by dividing by 255."""
-    return LabeledDataset(
-        x=pixels.astype(np.float64) / 255.0, labels=labels, num_classes=num_classes, name=name,
-    )
+    """Pixels scaled into [0, 1] by dividing by 255, in their one float64 copy."""
+    x = pixels.astype(np.float64)
+    x /= 255.0
+    return LabeledDataset(x=x, labels=labels, num_classes=num_classes, name=name)
 
 
 def load_idx(images_path, labels_path, name: str | None = None) -> LabeledDataset:
@@ -240,7 +245,10 @@ def synthetic_image_dataset(n_samples: int, seed: int = 0) -> LabeledDataset:
 
     Each class is a smooth random prototype image; samples are subpixel
     translations with random amplitude plus pixel noise, so small training
-    sets generalize measurably worse than large ones.
+    sets generalize measurably worse than large ones. Labels, offsets and
+    amplitudes are drawn for all rows first; noise and sampling then fill the
+    output ``SYNTHETIC_BLOCK_ROWS`` rows at a time, from one noise stream, so
+    the rows do not depend on the block size.
     """
     n_classes, side = SYNTHETIC_CLASSES, SYNTHETIC_SIDE
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -253,23 +261,27 @@ def synthetic_image_dataset(n_samples: int, seed: int = 0) -> LabeledDataset:
     labels = rng.integers(0, n_classes, size=n_samples)
     offsets = rng.uniform(-SYNTHETIC_MAX_SHIFT, SYNTHETIC_MAX_SHIFT, size=(n_samples, 2))
     amplitudes = rng.uniform(0.6, 1.0, size=n_samples)
-    pixel_noise = rng.standard_normal((n_samples, side * side)) * SYNTHETIC_NOISE
-    # Bilinear sampling of every row's prototype at its offset, one gather per corner.
-    ys = np.clip(np.arange(side) - offsets[:, :1] + 1.0, 0.0, side + 1.0 - 1e-9)
-    xs = np.clip(np.arange(side) - offsets[:, 1:] + 1.0, 0.0, side + 1.0 - 1e-9)
-    y0 = np.floor(ys).astype(int)[:, :, None]
-    x0 = np.floor(xs).astype(int)[:, None, :]
-    wy = ys[:, :, None] - y0
-    wx = xs[:, None, :] - x0
-    rows = labels[:, None, None]
-    img = _lerp(
-        _lerp(protos[rows, y0, x0], protos[rows, y0, x0 + 1], wx),
-        _lerp(protos[rows, y0 + 1, x0], protos[rows, y0 + 1, x0 + 1], wx),
-        wy,
-    )
-    img *= amplitudes[:, None, None]
-    img += pixel_noise.reshape(img.shape)
-    x = np.clip(img, 0.0, 1.0, out=img).reshape(n_samples, side * side)
+    x = np.empty((n_samples, side * side))
+    for lo in range(0, n_samples, SYNTHETIC_BLOCK_ROWS):
+        block = slice(lo, lo + SYNTHETIC_BLOCK_ROWS)
+        img = x[block].reshape(-1, side, side)
+        # Bilinear sampling of each row's prototype at its offset, one gather per corner.
+        ys = np.clip(np.arange(side) - offsets[block, :1] + 1.0, 0.0, side + 1.0 - 1e-9)
+        xs = np.clip(np.arange(side) - offsets[block, 1:] + 1.0, 0.0, side + 1.0 - 1e-9)
+        y0 = np.floor(ys).astype(int)[:, :, None]
+        x0 = np.floor(xs).astype(int)[:, None, :]
+        wy = ys[:, :, None] - y0
+        wx = xs[:, None, :] - x0
+        rows = labels[block, None, None]
+        blend = _lerp(
+            _lerp(protos[rows, y0, x0], protos[rows, y0, x0 + 1], wx),
+            _lerp(protos[rows, y0 + 1, x0], protos[rows, y0 + 1, x0 + 1], wx),
+            wy,
+        )
+        np.multiply(blend, amplitudes[block, None, None], out=img)
+        del blend
+        img += rng.standard_normal(img.shape) * SYNTHETIC_NOISE
+        np.clip(img, 0.0, 1.0, out=img)
     return LabeledDataset(x=x, labels=labels, num_classes=n_classes, name="synthetic")
 
 
@@ -317,8 +329,9 @@ def desk_dataset(train_n: int, test_n: int, dataset_seed: int = DESK_DATASET_SEE
 
 
 def synthetic_desk_dataset(train_n: int, test_n: int, dataset_seed: int = DESK_DATASET_SEED):
-    """The synthetic stand-in alone, whatever ``MSBLS_DATA_DIR`` says."""
+    """The synthetic stand-in alone, whatever ``MSBLS_DATA_DIR`` says. The
+    training and test sets are row slices of one pool, not copies."""
     pool = synthetic_image_dataset(train_n + test_n, seed=dataset_seed)
-    train = pool.take(np.arange(train_n), "synthetic-train")
-    test = pool.take(np.arange(train_n, train_n + test_n), "synthetic-test")
+    train = pool.take(slice(0, train_n), "synthetic-train")
+    test = pool.take(slice(train_n, None), "synthetic-test")
     return train, test

@@ -178,21 +178,21 @@ def accuracy(predictions, labels) -> float:
 
 
 def _seeded_split(seed: int, plan: SplitPlan, *datasets):
-    """The run's derived streams, then each dataset split into its two client
-    parts: the training rows by the ``split_train`` stream, the test rows by
-    ``split_test``."""
+    """The run's derived streams, then each dataset split into a list of its
+    two client parts: the training rows by the ``split_train`` stream, the
+    test rows by ``split_test``."""
     streams = derive_streams(seed, list(_STREAMS))
     pairs = []
     for ds, name in zip(datasets, ("split_train", "split_test")):
         # Mix the plan's own seed into the derived stream seed so explicit plan
         # seeds stay honored while per-run seeds still vary the partition.
         mixed = (streams[name].seed ^ (plan.seed * 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF
-        pairs.append(split_dataset(ds, replace(plan, seed=mixed)))
+        pairs.append(list(split_dataset(ds, replace(plan, seed=mixed))))
     return streams, *pairs
 
 
 def _fit_and_evaluate(baseline: str, dataset: str, config: ExperimentConfig, seed: int,
-                      features, train_rows: tuple, test_rows: tuple, enh_stream: RngStream,
+                      features, train_rows: list, test_rows: list, enh_stream: RngStream,
                       mix_key: np.ndarray | None = None, sessions=()) -> RunResult:
     """Map the training rows, fit the readout, map and score the test rows,
     and build the run's report, model and result.
@@ -202,18 +202,21 @@ def _fit_and_evaluate(baseline: str, dataset: str, config: ExperimentConfig, see
     map, and both are scored from their feature blocks by
     ``bls.readout_scores``, whose rounding margin moves no prediction.
 
-    ``features(*rows)`` maps ``train_rows`` or ``test_rows``, each a tuple of
-    datasets, to one feature block in row order; their labels are stacked
-    in the same order. ``train_time_s`` covers the training features and
-    the fit, not the test features. A masked map appends its protocol
-    sessions to ``sessions``; the first, the training session, holds the mix
-    key and gives the report its message and byte counts.
+    ``features(rows)`` maps ``train_rows`` or ``test_rows``, each a list of
+    datasets, to one feature block in row order. It empties the list as it
+    hands each dataset's rows on, so that no frame keeps a split copy once
+    it is mapped; the labels are read first and stacked in the same order.
+    ``train_time_s`` covers the training features and the fit, not the test
+    features. A masked map appends its protocol sessions to ``sessions``;
+    the first, the training session, holds the mix key and gives the report
+    its message and byte counts.
     """
     hyper = config.hyper
-    started = time.perf_counter()
-    zn_train = features(*train_rows)
     train_labels = np.concatenate([part.labels for part in train_rows])
-    y = one_hot(train_labels, train_rows[0].num_classes)
+    num_classes, d = train_rows[0].num_classes, train_rows[0].x.shape[1]
+    started = time.perf_counter()
+    zn_train = features(train_rows)
+    y = one_hot(train_labels, num_classes)
     enh_keys = bls.shrink_enhancement_keys(
         zn_train, bls.generate_enhancement_keys(hyper, enh_stream)
     )
@@ -222,7 +225,6 @@ def _fit_and_evaluate(baseline: str, dataset: str, config: ExperimentConfig, see
     try:
         weights = bls.train_output_weights(zn_train, hm, y, hyper.ridge, health)
     except SolverError as exc:
-        d = train_rows[0].x.shape[1]
         if hyper.mapped_width <= d + 1:
             raise
         raise SolverError(
@@ -235,8 +237,8 @@ def _fit_and_evaluate(baseline: str, dataset: str, config: ExperimentConfig, see
     health["readout_residual"] = float(np.linalg.norm(scores - y) / np.linalg.norm(y))
     del hm, scores  # release the training enhancement block before the test rows are mapped
 
-    zn_test = features(*test_rows)
     test_labels = np.concatenate([part.labels for part in test_rows])
+    zn_test = features(test_rows)
     test_health = {}
     hm_test = bls.enhancement_features(zn_test, enh_keys, hyper.activation, test_health)
     health["test_preact_ratio"] = test_health["preact_ratio"]
@@ -291,16 +293,18 @@ def run_msbls(train: LabeledDataset, test: LabeledDataset, config: ExperimentCon
         endpoints = make_bus_endpoints()
     sessions = []
 
-    def features(a, b):
+    def features(rows):
         # The training session's parties draw the keys from their streams;
         # the test session reuses those keys under fresh masks.
         rngs = PartyRngs(
             streams["masks_test" if sessions else "masks_train"],
             streams["key_a"], streams["key_b"], streams["mix"],
         )
+        # run_protocol drops the popped rows once its clients hold augmented copies.
         session = run_protocol(
-            a.x, b.x, config.hyper, rngs, keys=sessions[0].keys if sessions else None,
-            endpoints=endpoints, mask_range=config.mask_range, zero_masks=config.zero_masks,
+            rows.pop(0).x, rows.pop().x, config.hyper, rngs,
+            keys=sessions[0].keys if sessions else None, endpoints=endpoints,
+            mask_range=config.mask_range, zero_masks=config.zero_masks,
         )
         # Every party's masks, blinded rows and inputs would otherwise outlive the run.
         session.parties = {}
@@ -326,7 +330,9 @@ def run_non_privacy(train: LabeledDataset, test: LabeledDataset, config: Experim
     mix_key = bls.generate_mix_key(hyper, streams["mix"])
     return _fit_and_evaluate(
         "nbls", train.name, config, seed,
-        lambda a, b: bls.joint_mapped_features(a.x, b.x, key_a, key_b, mix_key),
+        lambda rows: bls.joint_mapped_features(
+            rows.pop(0).x, rows.pop().x, key_a, key_b, mix_key
+        ),
         train_rows, test_rows, streams["enhancement"], mix_key,
     )
 
@@ -338,8 +344,8 @@ def _run_own_model(shard: LabeledDataset, test: LabeledDataset, config: Experime
     mix_key = bls.generate_mix_key(config.hyper, sub["mix"])
     return _fit_and_evaluate(
         tag, shard.name, config, seed,
-        lambda part: bls.mapped_features_simplified(bls.augment(part.x), map_key, mix_key),
-        (shard,), (test,), sub["enh"], mix_key,
+        lambda rows: bls.mapped_features_simplified(bls.augment(rows.pop().x), map_key, mix_key),
+        [shard], [test], sub["enh"], mix_key,
     )
 
 

@@ -606,6 +606,7 @@ def run_protocol(
         session_id, Role.CLIENT_B, x_b, hyper,
         key_rng=rngs.key_b, key=None if keys is None else keys.key_b,
     )
+    del x_a, x_b  # the clients hold their augmented copies
     (n_a, d1), (n_b, d1_b) = client_a.x_aug.shape, client_b.x_aug.shape
     if d1 != d1_b:
         raise ValueError(f"clients disagree on feature count: {d1 - 1} vs {d1_b - 1}")

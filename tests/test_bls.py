@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from msbls import bls
 from msbls.bls import (
     ACTIVATIONS,
     BlsHyperParams,
@@ -339,6 +341,33 @@ class TestShrinkage:
             assert np.allclose(b, b0 * scale, rtol=1e-15)
         # Scaled by 0.8 / peak, tanh stays below 0.67 on the rows that set the scale.
         assert np.max(np.abs(enhancement_features(zn, scaled, "tanh"))) < 0.67
+
+    @pytest.mark.parametrize("rows", [49, 50, 301])
+    def test_row_blocks_give_the_one_block_scale(self, monkeypatch, rows):
+        # Blocks of about four rows. The last row sets the peak, so a
+        # one-row block, whose product another BLAS routine sums, would
+        # show in the scale.
+        rng = np.random.default_rng(rows)
+        zn = rng.standard_normal((rows, 100)) * 30
+        zn[-1] *= 10
+        keys = [(rng.standard_normal((100, k)), rng.uniform(-1, 1, (1, k))) for k in (64, 37)]
+        whole = shrink_enhancement_keys(zn, keys)
+        monkeypatch.setattr(bls, "SHRINK_BLOCK_ROWS", 4)
+        for (w, b), (w0, b0) in zip(shrink_enhancement_keys(zn, keys), whole):
+            assert w.tobytes() == w0.tobytes() and b.tobytes() == b0.tobytes()
+
+    def test_peak_memory_stays_below_one_pre_activation_block(self, monkeypatch):
+        monkeypatch.setattr(bls, "SHRINK_BLOCK_ROWS", 256)
+        rng = np.random.default_rng(12)
+        zn = rng.standard_normal((2000, 100))
+        keys = [(rng.standard_normal((100, 1000)), rng.uniform(-1, 1, (1, 1000)))]
+        tracemalloc.start()
+        try:
+            shrink_enhancement_keys(zn, keys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 1000 * 8 / 2
 
     def test_preact_ratio_is_one_on_the_fitted_rows_and_fires_beyond_them(self):
         rng = np.random.default_rng(10)

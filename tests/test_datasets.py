@@ -8,6 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
+from msbls import datasets
 from msbls.datasets import (
     DESK_SUBSET_SEED,
     IDX_IMAGE_MAGIC,
@@ -20,6 +21,7 @@ from msbls.datasets import (
     one_hot,
     split_non_iid,
     split_quantity,
+    synthetic_desk_dataset,
     synthetic_image_dataset,
     write_idx,
 )
@@ -53,6 +55,26 @@ class TestIdx:
                     g.write(f.read())
         loaded = load_idx(tmp_path / "imgs.gz", tmp_path / "lbls.gz")
         assert np.array_equal(loaded.labels, ds.labels)
+
+    def test_scaling_makes_one_float_copy(self, tmp_path):
+        # The pixels are scaled in their float64 copy, not into a second array.
+        n, side = 2000, 28
+        rng = np.random.default_rng(6)
+        pixels = rng.integers(0, 256, (n, side * side), dtype=np.uint8)
+        pair = (tmp_path / "imgs", tmp_path / "lbls")
+        write_idx(
+            LabeledDataset(x=pixels / 255.0, labels=rng.integers(0, 10, n), num_classes=10,
+                           name="toy"),
+            *pair,
+        )
+        tracemalloc.start()
+        try:
+            ds = load_idx(*pair)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pixels.nbytes + 1.2 * ds.x.nbytes
+        assert ds.x.tobytes() == (pixels.astype(np.float64) / 255.0).tobytes()
 
     def test_single_image_byte_normalization(self, tmp_path):
         with open(tmp_path / "imgs", "wb") as f:
@@ -386,6 +408,40 @@ def test_synthetic_equals_per_row_reference(n_samples, seed):
     ds = synthetic_image_dataset(n_samples, seed=seed)
     x, labels = _per_row_synthetic(n_samples, seed)
     assert np.array_equal(ds.x, x) and np.array_equal(ds.labels, labels)
+
+
+def test_synthetic_blocks_equal_per_row_reference(monkeypatch):
+    # 70 rows in 16-row blocks: four full blocks and a remainder of six.
+    monkeypatch.setattr(datasets, "SYNTHETIC_BLOCK_ROWS", 16)
+    ds = synthetic_image_dataset(70, seed=20240601)
+    x, labels = _per_row_synthetic(70, 20240601)
+    assert ds.x.tobytes() == x.tobytes() and np.array_equal(ds.labels, labels)
+
+
+class TestSyntheticMemory:
+    def test_build_peak_stays_near_its_output(self, monkeypatch):
+        # The gathers, blends and noise of one 256-row block are alive at a
+        # time; built whole, they took several times the output.
+        monkeypatch.setattr(datasets, "SYNTHETIC_BLOCK_ROWS", 256)
+        tracemalloc.start()
+        try:
+            ds = synthetic_image_dataset(4096, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * ds.x.nbytes
+
+    def test_desk_sets_are_slices_of_one_pool(self):
+        train, test = synthetic_desk_dataset(120, 30, dataset_seed=3)
+        pool = train.x.base
+        assert pool is not None and test.x.base is pool and pool.shape == (150, 784)
+        assert np.shares_memory(train.x, pool) and np.shares_memory(test.x, pool)
+        # The same rows as the copies that the pool's take gives.
+        whole = synthetic_image_dataset(150, seed=3)
+        for got, rows in ((train, np.arange(120)), (test, np.arange(120, 150))):
+            want = whole.take(rows)
+            assert got.x.tobytes() == want.x.tobytes()
+            assert np.array_equal(got.labels, want.labels)
 
 
 class TestIdxHeaderAndWidths:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from msbls import datasets, experiment, protocol, transport
+from msbls import bls, datasets, experiment, protocol, transport
 from msbls.bls import (
     BlsHyperParams,
     augment,
@@ -126,6 +126,29 @@ class TestFinishedRunKeepsNoPartyState:
         train_session, test_session = result.train_sessions
         assert train_session.keys.mix_key is result.model.mix_key
         assert len(train_session.transcript) == len(test_session.transcript) == 12
+
+
+class TestSplitRowsReleased:
+    @pytest.mark.parametrize("runner", [run_non_privacy, run_msbls])
+    def test_training_split_is_gone_before_the_readout(self, small_desk_data, monkeypatch, runner):
+        # Once the training features exist, nothing reads the split's row copies.
+        train, test = small_desk_data
+        refs, alive = [], []
+        split, fit = experiment.split_dataset, bls.train_output_weights
+
+        def spy_split(ds, plan):
+            parts = split(ds, plan)
+            refs.append([weakref.ref(part.x) for part in parts])
+            return parts
+
+        def spy_fit(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs[0]])
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "split_dataset", spy_split)
+        monkeypatch.setattr(bls, "train_output_weights", spy_fit)
+        runner(train, test, small_config(), seed=0)
+        assert alive == [[False, False]]
 
 
 class TestDeskTargets:

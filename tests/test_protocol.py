@@ -282,6 +282,27 @@ class TestFullSession:
         ]) @ res.keys.mix_key
         assert np.array_equal(res.mapped_features, clear)
 
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+        "Python 3.10 keeps call arguments on the caller's stack until the call returns"
+    ))
+    def test_inputs_the_caller_does_not_keep_are_gone_by_the_first_send(self):
+        # The clients hold augmented copies, so nothing reads the inputs after.
+        hyper = BlsHyperParams(map_groups=2, map_dim=4)
+        rng = np.random.default_rng(7)
+        refs, alive = [], []
+
+        def rows(n):
+            x = rng.uniform(0, 1, (n, 5))
+            refs.append(weakref.ref(x))
+            return x
+
+        def tap(msg):
+            if not alive:
+                alive.append([ref() is not None for ref in refs])
+
+        run_protocol(rows(9), rows(6), hyper, party_rngs(0), message_tap=tap)
+        assert alive == [[False, False]]
+
     def test_key_reuse_second_session_fresh_masks(self):
         hyper = BlsHyperParams(map_groups=2, map_dim=4)
         rng = np.random.default_rng(3)
