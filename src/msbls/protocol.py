@@ -66,7 +66,7 @@ class ProtocolAbort(RuntimeError):
 
     When raised from run_protocol, ``parties`` holds the (already zeroized)
     party states for post-mortem inspection, and ``elapsed_s`` the seconds
-    from the start of run_protocol to the session's first failure.
+    from the start of run_protocol until the failed session was closed.
     """
 
     def __init__(self, role: Role, seq, reason: str):
@@ -544,29 +544,36 @@ class SessionResult:
         return "\n".join(json.dumps(e.to_dict()) for e in self.transcript)
 
 
-def _drive_in_order(parties, endpoints, timeout, record, fail):
+def _drive_in_order(parties, endpoints, timeout, record):
     """Drive every party on the calling thread, one ``SCHEDULE`` row at a
     time: each row's receiver takes its message from its endpoint and handles
     it, and what a party's handling returns is sent before the next row. Each
-    ``send`` must return without waiting for its receiver. The first failure
-    goes to ``fail(party, seq, exc)``, with the party and seq that were being
-    sent or awaited; an interrupt or exit is raised on after it."""
-    party, seq = parties[Role.SERVER], None
+    ``send`` must return without waiting for its receiver, so a bus ``recv``
+    with nothing queued fails at once, while a TCP ``recv`` waits until its
+    deadline. Returns None, or the first failure as ``(role, seq, exc)``,
+    with the role and seq that were being sent or awaited. A failure
+    zeroizes every party and closes every endpoint; an interrupt or exit is
+    then raised on unwrapped."""
+    role, seq = Role.SERVER, None
     try:
         outbox = [msg for p in parties.values() for msg in p.start()]
         # The last row's receiver, the server, sends nothing after it.
         for row in SCHEDULE:
             for out in outbox:
-                party, seq = parties[out.sender], out.seq
+                role, seq = out.sender, out.seq
                 record(out)
-                endpoints[out.sender].send(out)
-            seq, sender, receiver = row[:3]
-            party = parties[receiver]
-            outbox = party.handle(endpoints[receiver].recv(sender, timeout))
+                endpoints[role].send(out)
+            seq, sender, role = row[:3]
+            outbox = parties[role].handle(endpoints[role].recv(sender, timeout))
     except BaseException as exc:
-        fail(party, seq, exc)
+        for party in parties.values():
+            party.zeroize()
+        for ep in endpoints.values():
+            ep.close()
         if not isinstance(exc, Exception):
             raise
+        return role, seq, exc
+    return None
 
 
 def run_protocol(
@@ -591,7 +598,11 @@ def run_protocol(
     endpoint's ``send`` must not wait for its receiver. ``message_tap``,
     when set, sees every sent message (diagnostics only; the transcript
     itself records metadata, never payloads). ``timeout_s`` bounds every
-    receive; it defaults to MSBLS_TIMEOUT_MS (``transport.receive_timeout_s``).
+    TCP receive; it defaults to MSBLS_TIMEOUT_MS
+    (``transport.receive_timeout_s``). A bus receive with nothing queued
+    fails at once, since nothing else can send meanwhile. Any failure
+    raises ProtocolAbort, built from what ``_drive_in_order`` returns, with
+    every party zeroized and every endpoint closed.
     """
     started = time.perf_counter()
     session_id = new_session_id()
@@ -643,24 +654,9 @@ def run_protocol(
         if message_tap is not None:
             message_tap(msg)
 
-    failure = None
-
-    def fail(party: Party, seq, exc: BaseException):
-        nonlocal failure
-        failure = (party.role, seq, exc, time.perf_counter() - started)
-        party.zeroize()
-        for ep in endpoints.values():
-            ep.close()
-
-    _drive_in_order(parties, endpoints, timeout, record, fail)
-    if own_endpoints:
-        for ep in endpoints.values():
-            ep.close()
-
+    failure = _drive_in_order(parties, endpoints, timeout, record)
     if failure is not None:
-        for party in parties.values():
-            party.zeroize()
-        role, seq, first, elapsed = failure
+        role, seq, first = failure
         abort = first
         if not isinstance(first, ProtocolAbort):
             detail = str(first)
@@ -669,8 +665,11 @@ def run_protocol(
                 detail = f"seq {seq} {kind.name} from {sender.name} did not arrive within {timeout}s"
             abort = ProtocolAbort(role, seq, f"{type(first).__name__}: {detail}")
             abort.__cause__ = first
-        abort.parties, abort.elapsed_s = parties, elapsed
+        abort.parties, abort.elapsed_s = parties, time.perf_counter() - started
         raise abort
+    if own_endpoints:
+        for ep in endpoints.values():
+            ep.close()
 
     transcript.sort(key=lambda e: e.seq)
     return SessionResult(

@@ -18,23 +18,23 @@ unsupported version (v1 and v2 included), oversized dims, truncation or
 checksum mismatch reject the frame without state change. Each backend gives
 every role an endpoint with ``role``, ``send(msg)``, ``recv(sender,
 timeout)`` and ``close()``. Delivery is FIFO per directed (sender, receiver)
-pair; ``recv`` raises TransportTimeout if nothing comes in time,
-TransportClosed once closed. No send ever waits for its receiver, so one
-thread can run every party of a session: a bus send appends to a queue, and
-a TCP send writes what its socket takes at once and queues the rest on a
-write queue that the trio shares. A TCP receive then writes that queue out
-while it waits for its own frame, so a frame larger than the socket buffers
-drains while its receiver reads it, under the receive's deadline.
+pair, and ``recv`` raises TransportClosed once closed. No send ever waits
+for its receiver, so one thread runs every party of a session. A bus send
+appends to a deque; a bus ``recv`` that finds nothing queued raises
+TransportTimeout at once, as nothing else can send meanwhile. A TCP send
+writes what its socket takes at once and queues the rest on a write queue
+that the trio shares. A TCP ``recv``, whose frame may still be in flight,
+writes that queue out while it waits, so a frame larger than the socket
+buffers drains while its receiver reads it, and raises TransportTimeout
+only at its deadline.
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import select
 import socket
 import struct
-import threading
 import time
 import zlib
 from collections import Counter, deque
@@ -58,13 +58,15 @@ LISTENERS = Counter(listener for _, listener in DIALS)
 
 # Seconds any one TCP set-up step may wait: a dial, a hello or an accept.
 CONNECT_TIMEOUT_S = 10.0
+# The longest timeout a socket holds: whole seconds of signed 64-bit nanoseconds.
+MAX_TIMEOUT_S = float((2**63 - 1) // 10**9)
 
 
 def receive_timeout_s(timeout_s: float | None = None) -> float:
     """Seconds each receive of a whole frame may take: ``timeout_s`` if given,
     else the MSBLS_TIMEOUT_MS environment variable in milliseconds (30000
-    when unset). Either must be positive and finite, and no longer than a
-    lock can wait."""
+    when unset). Either must be positive, and no longer than a socket's
+    timeout can be (MAX_TIMEOUT_S)."""
     name, value, scale = "timeout_s", timeout_s, 1.0
     if timeout_s is None:
         name, value, scale = "MSBLS_TIMEOUT_MS", os.environ.get("MSBLS_TIMEOUT_MS", "30000"), 1e3
@@ -72,8 +74,8 @@ def receive_timeout_s(timeout_s: float | None = None) -> float:
         seconds = float(value) / scale
     except (TypeError, ValueError):
         seconds = 0.0  # unparsable: rejected below
-    if not 0 < seconds <= threading.TIMEOUT_MAX:
-        limit = threading.TIMEOUT_MAX * scale
+    if not 0 < seconds <= MAX_TIMEOUT_S:
+        limit = MAX_TIMEOUT_S * scale
         raise ValueError(f"{name} must be in (0, {limit:.0f}], got {value!r}")
     return seconds
 
@@ -176,45 +178,36 @@ def decode_message(data) -> ProtocolMessage:
 
 
 class _BusEndpoint:
-    def __init__(self, role: Role, queues, closed: threading.Event):
+    def __init__(self, role: Role, queues: dict[tuple[Role, Role], deque]):
         self.role = role
+        # Shared by the trio; emptied on close, which is the closed flag.
         self._queues = queues
-        self._closed = closed
 
     def send(self, msg: ProtocolMessage) -> None:
-        if self._closed.is_set():
+        if not self._queues:
             raise TransportClosed("bus is closed")
         if msg.sender != self.role:
             raise ValueError(f"{self.role.name} endpoint cannot send as {msg.sender.name}")
-        self._queues[(msg.sender, msg.receiver)].put(msg)
+        self._queues[(msg.sender, msg.receiver)].append(msg)
 
     def recv(self, sender: Role, timeout: float) -> ProtocolMessage:
-        if self._closed.is_set():
+        if not self._queues:
             raise TransportClosed("bus is closed")
         try:
-            msg = self._queues[(sender, self.role)].get(timeout=timeout)
-        except queue.Empty:
+            return self._queues[(sender, self.role)].popleft()
+        except IndexError:
             raise TransportTimeout(
-                f"{self.role.name}: no message from {sender.name} within {timeout}s"
+                f"{self.role.name}: nothing queued from {sender.name}, and nothing can send it"
             ) from None
-        if msg is None:
-            raise TransportClosed("bus is closed")
-        return msg
 
     def close(self) -> None:
-        self._closed.set()
-        # A None in place of a message wakes every receiver still waiting.
-        for q in self._queues.values():
-            q.put(None)
+        self._queues.clear()
 
 
 def make_bus_endpoints() -> dict[Role, _BusEndpoint]:
-    """In-process backend: one FIFO queue per directed pair, shared close flag."""
-    queues = {
-        (s, r): queue.Queue() for s in Role for r in Role if s != r
-    }
-    closed = threading.Event()
-    return {role: _BusEndpoint(role, queues, closed) for role in Role}
+    """In-process backend: one FIFO deque per directed pair, closed together."""
+    queues = {(s, r): deque() for s in Role for r in Role if s != r}
+    return {role: _BusEndpoint(role, queues) for role in Role}
 
 
 def _deadline(sock: socket.socket) -> float | None:

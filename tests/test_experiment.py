@@ -7,7 +7,6 @@ import socket
 import struct
 import subprocess
 import sys
-import threading
 import weakref
 
 import numpy as np
@@ -765,28 +764,6 @@ class TestOneTrioPerRun:
             run_msbls(train, test, small_config(transport=transport_name), seed=0)
         assert len(calls) == 2 and calls[0] is calls[1] is made[0]
         self.assert_all_closed(made, closed)
-
-
-class TestPartyThreads:
-    """A masked run starts no thread, in process or over TCP."""
-
-    @pytest.mark.parametrize("transport_name, party_threads", [("inproc", 0), ("tcp", 0)])
-    def test_live_threads_while_each_message_is_sent(self, small_desk_data, monkeypatch,
-                                                      transport_name, party_threads):
-        train, test = small_desk_data
-        run_protocol = experiment.run_protocol
-        counts = []
-
-        def tapped(*args, **kwargs):
-            return run_protocol(
-                *args, message_tap=lambda msg: counts.append(threading.active_count()), **kwargs
-            )
-
-        monkeypatch.setattr(experiment, "run_protocol", tapped)
-        baseline = threading.active_count()
-        run_msbls(train, test, small_config(transport=transport_name), seed=0)
-        assert counts == [baseline + party_threads] * 24
-        assert threading.active_count() == baseline
 
 
 class TestReadoutAppliesTheModel:
