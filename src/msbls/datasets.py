@@ -171,11 +171,15 @@ def load_idx(images_path, labels_path, name: str | None = None) -> LabeledDatase
 
 
 def write_idx(ds: LabeledDataset, images_path, labels_path):
-    """Write a dataset back out as a raw IDX pair (pixels rounded to uint8)."""
+    """Write a dataset back out as a raw IDX pair (pixels rounded to uint8,
+    one unsigned byte per label); a label above 255 raises ValueError before
+    any file is written."""
     n, d = ds.x.shape
     side = int(round(d ** 0.5))
     if side * side != d:
         raise ValueError(f"feature count {d} is not a square image")
+    if n and ds.labels.max() > 255:
+        raise ValueError(f"label {ds.labels.max()} does not fit an IDX label byte (0..255)")
     pixels = np.clip(np.rint(ds.x * 255.0), 0, 255).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, side, side))

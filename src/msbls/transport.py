@@ -11,7 +11,8 @@ straight into the one buffer it returns, sized from the declared dims and
 offset so that every payload's entries are 8-byte aligned; ``decode_message``
 then returns the payloads as float64 views of that buffer, so a one-payload
 frame is allocated once and none of its payload bytes is copied on the way.
-The whole frame must arrive within the socket's timeout. Frames round-trip
+The whole frame must arrive within one deadline, taken when the receive
+starts, and every wait for it is one ``poll``. Frames round-trip
 any float64 bits exactly, NaN and infinities included: the codec checks a
 frame's structure, and the receiving party checks its values. Bad magic, an
 unsupported version (v1 and v2 included), oversized dims, truncation or
@@ -23,10 +24,11 @@ for its receiver, so one thread runs every party of a session. A bus send
 appends to a deque; a bus ``recv`` that finds nothing queued raises
 TransportTimeout at once, as nothing else can send meanwhile. A TCP send
 writes what its socket takes at once and queues the rest on a write queue
-that the trio shares. A TCP ``recv``, whose frame may still be in flight,
-writes that queue out while it waits, so a frame larger than the socket
-buffers drains while its receiver reads it, and raises TransportTimeout
-only at its deadline.
+that the trio shares; the trio's sockets are non-blocking from the end of
+set-up on. A TCP ``recv``, whose frame may still be in flight, writes that
+queue out while it waits, so a frame larger than the socket buffers drains
+while its receiver reads it, and raises TransportTimeout only at its
+deadline.
 """
 
 from __future__ import annotations
@@ -58,7 +60,9 @@ LISTENERS = Counter(listener for _, listener in DIALS)
 
 # Seconds any one TCP set-up step may wait: a dial, a hello or an accept.
 CONNECT_TIMEOUT_S = 10.0
-# The longest timeout a socket holds: whole seconds of signed 64-bit nanoseconds.
+# The longest receive timeout accepted, the longest a socket's timeout can be
+# (whole seconds of signed 64-bit nanoseconds): no trio socket holds it, but
+# read_frame(sock) alone takes its deadline from the socket's timeout.
 MAX_TIMEOUT_S = float((2**63 - 1) // 10**9)
 
 
@@ -210,27 +214,17 @@ def make_bus_endpoints() -> dict[Role, _BusEndpoint]:
     return {role: _BusEndpoint(role, queues) for role in Role}
 
 
-def _deadline(sock: socket.socket) -> float | None:
-    """The time.monotonic() by which a read starting now must end: the
-    socket's timeout from now, or None for a blocking socket."""
-    timeout = sock.gettimeout()
-    return None if timeout is None else time.monotonic() + timeout
-
-
 # poll() takes a C int of milliseconds; a longer wait is made of several.
 _POLL_MAX_MS = 2**31 - 1
 
 
 class _WriteQueue:
-    """The frames that a TCP trio's endpoints have sent and their sockets have
-    not taken yet, per socket in send order. Nothing here waits: each write
-    hands a socket only what it takes at once."""
+    """The frames that a TCP trio's endpoints have sent and their non-blocking
+    sockets have not taken yet, per socket in send order. Only ``pump``
+    waits: each write hands a socket only what it takes at once."""
 
     def __init__(self):
         self._frames: dict[socket.socket, deque[memoryview]] = {}
-
-    def __bool__(self) -> bool:
-        return bool(self._frames)
 
     def put(self, sock: socket.socket, frame: bytes) -> None:
         """Queue ``frame`` behind what ``sock`` already holds queued, and
@@ -265,8 +259,6 @@ class _WriteQueue:
 
     def _write(self, sock: socket.socket) -> None:
         frames = self._frames[sock]
-        timeout = sock.gettimeout()
-        sock.settimeout(0.0)
         try:
             while frames:
                 frames[0] = frames[0][sock.send(frames[0]):]
@@ -278,37 +270,29 @@ class _WriteQueue:
             pass
         except OSError as exc:
             raise TransportClosed(f"send failed: {exc}") from exc
-        finally:
-            sock.settimeout(timeout)
 
 
 def _recv_into(sock: socket.socket, view: memoryview, deadline: float | None,
-               writes: _WriteQueue | None = None) -> None:
-    """Fill ``view`` from ``sock``, writing out ``writes`` while it waits.
-    Each wait gets only the time left before ``deadline``; the socket's own
-    timeout is restored afterwards."""
-    timeout = sock.gettimeout()
-    try:
-        while view:
-            left = None
-            if deadline is not None:
-                left = deadline - time.monotonic()
-                if left <= 0:
-                    raise TransportTimeout("frame not complete within the receive timeout")
-                sock.settimeout(left)
-            if writes and not writes.pump(sock, left):
-                continue
-            try:
-                got = sock.recv_into(view)
-            except socket.timeout as exc:
-                raise TransportTimeout(str(exc)) from exc
-            except OSError as exc:
-                raise TransportClosed(f"socket error: {exc}") from exc
-            if not got:
-                raise TransportClosed("connection closed mid-frame")
-            view = view[got:]
-    finally:
-        sock.settimeout(timeout)
+               writes: _WriteQueue) -> None:
+    """Fill ``view`` from ``sock``, waiting only in ``writes.pump``, which
+    writes the queue out meanwhile, and never past ``deadline`` (a
+    time.monotonic(), or None for no end). A read follows only a poll that
+    found ``sock`` readable, so it never waits, whatever the socket's mode."""
+    while view:
+        left = None
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TransportTimeout("frame not complete within the receive timeout")
+        if not writes.pump(sock, left):
+            continue
+        try:
+            got = sock.recv_into(view)
+        except OSError as exc:
+            raise TransportClosed(f"socket error: {exc}") from exc
+        if not got:
+            raise TransportClosed("connection closed mid-frame")
+        view = view[got:]
 
 
 # Leading pad bytes in read_frame's buffer: every payload's entries start at
@@ -316,7 +300,8 @@ def _recv_into(sock: socket.socket, view: memoryview, deadline: float | None,
 _ALIGN_PAD = -(FRAME_HEADER.size + FRAME_DIMS.size) % WIRE_FLOAT.itemsize
 
 
-def read_frame(sock: socket.socket, writes: _WriteQueue | None = None) -> memoryview:
+def read_frame(sock: socket.socket, writes: _WriteQueue | None = None,
+               timeout: float | None = None) -> memoryview:
     """Read exactly one frame off a stream socket and return a writable view
     of exactly its bytes; a bad header or dims raise FrameError before the
     bytes they announce are read. While it waits, ``writes`` is written out.
@@ -326,9 +311,13 @@ def read_frame(sock: socket.socket, writes: _WriteQueue | None = None) -> memory
     every payload's entries on an 8-byte boundary. The buffer grows only
     when the walker announces a payload: the bytes so far are copied across
     then, and the payload's entries are received in place with
-    ``recv_into``. The whole frame must arrive within the socket's timeout,
-    counted from the call."""
-    deadline = _deadline(sock)
+    ``recv_into``. The whole frame must arrive within ``timeout`` seconds of
+    the call; without one, within the socket's own timeout (None: no end).
+    The socket's mode is left as it is: every wait is a poll."""
+    if timeout is None:
+        timeout = sock.gettimeout()
+    deadline = None if timeout is None else time.monotonic() + timeout
+    writes = _WriteQueue() if writes is None else writes
     buf = np.empty(_ALIGN_PAD + FRAME_HEADER.size + FRAME_DIMS.size, np.uint8)
     end = _ALIGN_PAD
 
@@ -362,9 +351,9 @@ class _TcpEndpoint:
         self._writes.put(self._peers[msg.receiver], encode_message(msg))
 
     def recv(self, sender: Role, timeout: float) -> ProtocolMessage:
-        sock = self._peers[sender]
-        sock.settimeout(timeout)
-        msg = decode_message(read_frame(sock, self._writes))
+        if self._closed:
+            raise TransportClosed("recv failed: endpoint is closed")
+        msg = decode_message(read_frame(self._peers[sender], self._writes, timeout))
         if msg.sender != sender:
             raise FrameError(
                 f"frame from {sender.name} connection claims sender {msg.sender.name}"
@@ -393,7 +382,7 @@ def _hello(sock: socket.socket, role: Role) -> None:
 
 def _read_hello(sock: socket.socket) -> Role:
     hello = bytearray(_HELLO.size)
-    _recv_into(sock, memoryview(hello), _deadline(sock))
+    _recv_into(sock, memoryview(hello), time.monotonic() + CONNECT_TIMEOUT_S, _WriteQueue())
     magic, version, role = _HELLO.unpack(hello)
     if magic != MAGIC or version != VERSION:
         raise FrameError("bad connection hello")
@@ -406,9 +395,12 @@ def make_tcp_endpoints(listen: dict[Role, tuple[str, int]] | None = None) -> dic
     The listening roles bind first; every dial then completes into its
     listener's backlog, so the accepts run afterwards on the calling thread.
     Passing ``listen`` pins explicit (host, port) pairs for the listening
-    roles; otherwise ephemeral loopback ports are used. Each accepted
-    connection's hello must name a role that dials that listener, once. A
-    failure closes every socket opened so far and raises TransportClosed.
+    roles; otherwise ephemeral loopback ports are used. Each step waits at
+    most CONNECT_TIMEOUT_S, and each accepted connection's hello, read
+    through the same poll loop as a frame, must name a role that dials that
+    listener, once. A failure closes every socket opened so far and raises
+    TransportClosed. Once set up, every connection is non-blocking for good:
+    no socket holds a receive timeout, and no mode is changed afterwards.
     """
     listen = listen or {}
     listeners: dict[Role, socket.socket] = {}
@@ -426,13 +418,13 @@ def make_tcp_endpoints(listen: dict[Role, tuple[str, int]] | None = None) -> dic
         for _, listener in DIALS:
             conn, _ = listeners[listener].accept()
             conns.append(conn)
-            conn.settimeout(CONNECT_TIMEOUT_S)
             dialer = _read_hello(conn)
             if (dialer, listener) not in DIALS or dialer in peers[listener]:
                 raise FrameError(f"unexpected hello from {dialer.name} at {listener.name}")
             peers[listener][dialer] = conn
         for sock in conns:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.setblocking(False)
     except BaseException as exc:
         for sock in conns:
             sock.close()

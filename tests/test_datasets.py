@@ -94,6 +94,18 @@ class TestIdx:
             write_idx(ds, images, labels)
         assert not images.exists() and not labels.exists()
 
+    def test_label_above_one_byte_rejected_before_any_file_is_written(self, tmp_path):
+        ds = toy_dataset([0, 300, 1])
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        with pytest.raises(ValueError, match=r"^label 300 does not fit an IDX label byte \(0\.\.255\)$"):
+            write_idx(ds, images, labels)
+        assert not images.exists() and not labels.exists()
+
+    def test_label_255_round_trips(self, tmp_path):
+        ds = toy_dataset([255, 0])
+        write_idx(ds, tmp_path / "imgs", tmp_path / "lbls")
+        assert np.array_equal(load_idx(tmp_path / "imgs", tmp_path / "lbls").labels, [255, 0])
+
     def test_bad_image_magic(self, tmp_path):
         with open(tmp_path / "imgs", "wb") as f:
             f.write(struct.pack(">IIII", 0xDEADBEEF, 1, 2, 2) + bytes(4))

@@ -266,8 +266,12 @@ class TestTcp:
         assert tcp_trio[Role.CLIENT_A].recv(Role.SERVER, 5.0).seq == 7
 
     def test_recv_timeout(self, tcp_trio):
-        with pytest.raises((TransportTimeout, TransportClosed)):
+        # Every TCP wait ends at the receive's one deadline, not at a socket timeout.
+        start = time.monotonic()
+        with pytest.raises(TransportTimeout,
+                           match="^frame not complete within the receive timeout$"):
             tcp_trio[Role.SERVER].recv(Role.CLIENT_A, timeout=0.2)
+        assert 0.2 <= time.monotonic() - start < 1.0
 
     def test_send_on_a_closed_endpoint_raises_transport_closed(self):
         endpoints = make_tcp_endpoints()
@@ -325,6 +329,15 @@ class TestTcp:
             tcp_trio[Role.CLIENT_A].recv(Role.CLIENT_B, timeout=5.0)
 
 
+@pytest.mark.parametrize("make", [make_bus_endpoints, make_tcp_endpoints], ids=["bus", "tcp"])
+def test_recv_on_a_closed_endpoint_raises_transport_closed(make):
+    endpoints = make()
+    for ep in endpoints.values():
+        ep.close()
+    with pytest.raises(TransportClosed):
+        endpoints[Role.CLIENT_B].recv(Role.CLIENT_A, timeout=0.5)
+
+
 def blinded_data(rows, seq=3, sender=Role.CLIENT_A, receiver=Role.CLIENT_B):
     """A ``rows`` x 785 frame, as large as a desk client's blinded rows."""
     return msg([np.random.default_rng(rows).standard_normal((rows, 785))],
@@ -352,7 +365,7 @@ class TestWriteQueue:
         assert len(self.queued(tcp_trio, Role.CLIENT_A, Role.CLIENT_B)) == 1
         got = b.recv(Role.CLIENT_A, timeout=10.0)
         assert got.payloads[0].tobytes() == m.payloads[0].tobytes()
-        assert not a._writes
+        assert not a._writes._frames
         assert threading.active_count() == baseline
 
     def test_frames_queued_on_one_connection_arrive_in_order(self, tcp_trio):
@@ -375,7 +388,7 @@ class TestWriteQueue:
             ba.payloads[0].tobytes()
         assert tcp_trio[Role.CLIENT_B].recv(Role.CLIENT_A, 10.0).payloads[0].tobytes() == \
             ab.payloads[0].tobytes()
-        assert not tcp_trio[Role.CLIENT_A]._writes
+        assert not tcp_trio[Role.CLIENT_A]._writes._frames
 
     def test_longest_accepted_timeout_drains_the_queue(self, tcp_trio):
         # poll() waits at most 2**31 - 1 ms; a receive may wait far longer.
@@ -404,23 +417,41 @@ class TestWriteQueue:
         a = tcp_trio[Role.CLIENT_A]
         a.send(blinded_data(5000))
         a.send(blinded_data(5000, seq=5, receiver=Role.SERVER))
-        assert a._writes
+        assert a._writes._frames
         a.close()
-        assert not a._writes
+        assert not a._writes._frames
         with pytest.raises(TransportClosed, match="^send failed: endpoint is closed$"):
             a.send(blinded_data(1))
 
-    def test_completed_session_leaves_nothing_queued(self, tcp_trio):
+    @staticmethod
+    def run_session(trio, seed):
+        """One masked session of 2000 + 1500 rows over ``trio``."""
         from msbls.bls import BlsHyperParams
         from msbls.protocol import run_protocol
         from tests.test_protocol import party_rngs
 
-        rng = np.random.default_rng(4)
+        rng = np.random.default_rng(seed)
         xa, xb = rng.uniform(0, 1, (2000, 200)), rng.uniform(0, 1, (1500, 200))
-        res = run_protocol(xa, xb, BlsHyperParams(map_groups=2, map_dim=4), party_rngs(4),
-                           endpoints=tcp_trio)
+        res = run_protocol(xa, xb, BlsHyperParams(map_groups=2, map_dim=4), party_rngs(seed),
+                           endpoints=trio)
         assert res.message_count == 12
-        assert not tcp_trio[Role.SERVER]._writes
+
+    def test_completed_session_leaves_nothing_queued(self, tcp_trio):
+        self.run_session(tcp_trio, 4)
+        assert not tcp_trio[Role.SERVER]._writes._frames
+
+    def test_session_waits_in_poll_and_never_changes_a_socket_mode(self, tcp_trio, monkeypatch):
+        calls = []
+        for name in ("settimeout", "setblocking"):
+            def spy(sock, value, name=name, real=getattr(socket.socket, name)):
+                calls.append((name, value))
+                real(sock, value)
+            monkeypatch.setattr(socket.socket, name, spy)
+        self.run_session(tcp_trio, 5)
+        assert calls == []
+        socks = [sock for ep in tcp_trio.values() for sock in ep._peers.values()]
+        assert len(socks) == 6
+        assert [sock.gettimeout() for sock in socks] == [0.0] * 6
 
 
 class TestReadFrame:
@@ -520,32 +551,6 @@ class TestReadFrame:
                 dripper.join()
             assert a.gettimeout() == 0.3
         assert elapsed < 2 * 0.3
-
-    def test_late_byte_past_the_deadline_times_out_and_restores_the_timeout(self):
-        frame = encode_message(msg([[[1.0]]]))
-
-        class LateSocket:
-            """Hands over one byte per recv_into, 0.05 s late whatever its timeout."""
-
-            def __init__(self):
-                self.timeout, self.sent = 0.02, 0
-
-            def gettimeout(self):
-                return self.timeout
-
-            def settimeout(self, timeout):
-                self.timeout = timeout
-
-            def recv_into(self, view):
-                time.sleep(0.05)
-                view[0] = frame[self.sent]
-                self.sent += 1
-                return 1
-
-        sock = LateSocket()
-        with pytest.raises(TransportTimeout, match="^frame not complete within the receive timeout$"):
-            transport.read_frame(sock)
-        assert (sock.sent, sock.gettimeout()) == (1, 0.02)
 
     def test_frame_larger_than_the_socket_buffers_arrives_whole(self):
         rng = np.random.default_rng(6)
