@@ -10,10 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpocon
 
 RNG_ALGORITHM = "pcg64"
+# Rows per diagonal block of the readout's triangular solves.
+TRIANGULAR_BLOCK = 128
 
 
 class SolverError(RuntimeError):
@@ -105,23 +106,47 @@ def check_ridge(ridge: float) -> None:
         raise ValueError(f"ridge must be positive and finite, got {ridge}")
 
 
+def _lower_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``low^-1 @ rhs`` for lower-triangular ``low``: blocks by solve, the rest by matmul."""
+    x = rhs.copy()
+    for lo in range(0, len(low), TRIANGULAR_BLOCK):
+        hi = lo + TRIANGULAR_BLOCK
+        x[lo:hi] = np.linalg.solve(low[lo:hi, lo:hi], x[lo:hi])
+        x[hi:] -= low[hi:, lo:hi] @ x[lo:hi]
+    return x
+
+
+def _leading_minor(gram: np.ndarray) -> int:
+    """The order of the first leading minor that Cholesky fails on; numpy does not say."""
+    lo, hi = 0, len(gram)  # gram[:lo, :lo] factors, gram[:hi, :hi] does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            np.linalg.cholesky(gram[:mid, :mid])
+            lo = mid
+        except np.linalg.LinAlgError:
+            hi = mid
+    return hi
+
+
 def _spd_solve(gram: np.ndarray, ridge: float, rhs: np.ndarray,
                health: dict | None = None) -> np.ndarray:
-    # The ridge (> 0) on the diagonal makes the Gram matrix SPD for finite
-    # input; a Cholesky failure means the problem is numerically out of reach.
+    # The ridge (> 0) on the diagonal makes the Gram matrix SPD for finite input;
+    # a Cholesky failure means the problem is numerically out of reach. The factor
+    # and the solves run on numpy's BLAS, whose threads the Gram has just woken.
     gram[np.diag_indices_from(gram)] += ridge
-    if health is not None:
-        anorm = np.linalg.norm(gram, 1)
     try:
-        factor = cho_factor(gram, overwrite_a=True, check_finite=False)
+        low = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
-        raise SolverError(f"positive-definite factorization failed: {exc}") from exc
+        raise SolverError(f"positive-definite factorization failed: {_leading_minor(gram)}-th "
+                          "leading minor of the array is not positive definite") from exc
     if health is not None:
         # LAPACK's O(f^2) reciprocal 1-norm condition estimate from the factor,
         # kept to three digits: its last bits vary from process to process.
-        rcond = dpocon(factor[0], anorm, "L" if factor[1] else "U")[0]
+        rcond = dpocon(low.T, np.linalg.norm(gram, 1), "U")[0]
         health["gram_rcond"] = float(f"{rcond:.3g}")
-    return cho_solve(factor, rhs, check_finite=False)
+    # Forward with L, then backward with L^T, which reversed in both axes is lower-triangular.
+    return np.ascontiguousarray(_lower_solve(low.T[::-1, ::-1], _lower_solve(low, rhs)[::-1])[::-1])
 
 
 def pseudoinverse(a, ridge: float) -> np.ndarray:

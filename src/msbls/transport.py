@@ -61,8 +61,8 @@ LISTENERS = Counter(listener for _, listener in DIALS)
 # Seconds any one TCP set-up step may wait: a dial, a hello or an accept.
 CONNECT_TIMEOUT_S = 10.0
 # The longest receive timeout accepted, the longest a socket's timeout can be
-# (whole seconds of signed 64-bit nanoseconds): no trio socket holds it, but
-# read_frame(sock) alone takes its deadline from the socket's timeout.
+# (whole seconds of signed 64-bit nanoseconds): read_frame(sock) alone takes its
+# deadline from a blocking socket's timeout, and a trio socket's 0.0 is none.
 MAX_TIMEOUT_S = float((2**63 - 1) // 10**9)
 
 
@@ -312,10 +312,10 @@ def read_frame(sock: socket.socket, writes: _WriteQueue | None = None,
     when the walker announces a payload: the bytes so far are copied across
     then, and the payload's entries are received in place with
     ``recv_into``. The whole frame must arrive within ``timeout`` seconds of
-    the call; without one, within the socket's own timeout (None: no end).
-    The socket's mode is left as it is: every wait is a poll."""
+    the call; without one, within the socket's own timeout (None: no end), or
+    receive_timeout_s() if it is non-blocking. Its mode stays: every wait is a poll."""
     if timeout is None:
-        timeout = sock.gettimeout()
+        timeout = receive_timeout_s() if sock.gettimeout() == 0.0 else sock.gettimeout()
     deadline = None if timeout is None else time.monotonic() + timeout
     writes = _WriteQueue() if writes is None else writes
     buf = np.empty(_ALIGN_PAD + FRAME_HEADER.size + FRAME_DIMS.size, np.uint8)

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
+from msbls import linalg
 from msbls.linalg import (
+    TRIANGULAR_BLOCK,
     RngStream,
+    SolverError,
     as_matrix,
     derive_streams,
     pseudoinverse,
@@ -250,3 +254,59 @@ class TestRidgeSolveBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4000 * 1100 * 8
+
+
+def relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestNumpyCholesky:
+    """The readout factors and solves on numpy's BLAS; scipy's Cholesky, which
+    it replaced, is the reference for its results and its failure message."""
+
+    @pytest.mark.parametrize("order", [1, TRIANGULAR_BLOCK - 1, TRIANGULAR_BLOCK,
+                                       TRIANGULAR_BLOCK + 1, 300])
+    @pytest.mark.parametrize("cols", [1, 10])
+    @pytest.mark.parametrize("layout", ["factor", "reversed transpose"])
+    def test_lower_solve_matches_numpy_solve(self, order, cols, layout):
+        rng = np.random.default_rng([order, cols])
+        a = rng.standard_normal((2 * order, order))
+        low = np.linalg.cholesky(a.T @ a + order * np.eye(order))
+        if layout == "reversed transpose":  # the backward solve's lower-triangular view
+            low = low.T[::-1, ::-1]
+        rhs = rng.standard_normal((order, cols))
+        assert relative_error(linalg._lower_solve(low, rhs), np.linalg.solve(low, rhs)) < 1e-12
+
+    @pytest.mark.parametrize("n", [400, 200], ids=["n>=f", "n<f"])
+    def test_ridge_solve_blocks_matches_scipy_cho_solve(self, n):
+        rng = np.random.default_rng(n)
+        zn, hm = rng.standard_normal((n, 100)), rng.standard_normal((n, 200))
+        y, ridge = rng.standard_normal((n, 10)), 1e-2
+        a = np.hstack([zn, hm])
+        if n >= a.shape[1]:
+            want = cho_solve(cho_factor(a.T @ a + ridge * np.eye(a.shape[1])), a.T @ y)
+        else:
+            want = a.T @ cho_solve(cho_factor(a @ a.T + ridge * np.eye(n)), y)
+        got = ridge_solve_blocks([zn, hm], y, ridge)
+        assert got.flags.c_contiguous
+        assert relative_error(got, want) < 1e-10
+
+    @staticmethod
+    def assert_scipy_names_the_same_minor(gram, minor):
+        with pytest.raises(np.linalg.LinAlgError) as scipy_error:
+            cho_factor(gram)
+        with pytest.raises(SolverError) as failure:
+            linalg._spd_solve(gram.copy(), 1e-300, np.ones((len(gram), 1)))
+        assert str(failure.value) == f"positive-definite factorization failed: {scipy_error.value}"
+        assert str(failure.value).startswith(f"positive-definite factorization failed: {minor}-th ")
+        assert isinstance(failure.value.__cause__, np.linalg.LinAlgError)
+
+    def test_ones_gram_fails_at_the_second_minor(self):
+        # A ridge of 1e-300 leaves 1 + ridge == 1, so the second pivot is 0.
+        self.assert_scipy_names_the_same_minor(np.ones((6, 6)), 2)
+
+    @pytest.mark.parametrize("minor", [1, 2, TRIANGULAR_BLOCK, 201, 300])
+    def test_negative_diagonal_entry_fails_at_its_minor(self, minor):
+        gram = np.diag(np.linspace(1.0, 2.0, 300))
+        gram[minor - 1, minor - 1] = -1.0
+        self.assert_scipy_names_the_same_minor(gram, minor)

@@ -552,6 +552,25 @@ class TestReadFrame:
             assert a.gettimeout() == 0.3
         assert elapsed < 2 * 0.3
 
+    def test_buffered_frame_on_a_trio_socket_is_read_whole(self, tcp_trio):
+        # A trio socket is non-blocking, and its timeout of 0.0 is no deadline:
+        # read_frame(sock) alone falls back to receive_timeout_s().
+        m = msg([np.arange(4.0).reshape(2, 2)])
+        tcp_trio[Role.CLIENT_A].send(m)
+        sock = tcp_trio[Role.CLIENT_B]._peers[Role.CLIENT_A]
+        assert transport.read_frame(sock) == encode_message(m)
+        assert sock.gettimeout() == 0.0
+
+    def test_stalled_read_on_a_trio_socket_times_out_at_the_receive_timeout(self, tcp_trio,
+                                                                           monkeypatch):
+        monkeypatch.setenv("MSBLS_TIMEOUT_MS", "200")
+        frame = encode_message(msg([np.ones((2, 2))]))
+        tcp_trio[Role.CLIENT_A]._peers[Role.CLIENT_B].sendall(frame[:30])  # then stall
+        start = time.monotonic()
+        with pytest.raises(TransportTimeout, match="^frame not complete within the receive timeout$"):
+            transport.read_frame(tcp_trio[Role.CLIENT_B]._peers[Role.CLIENT_A])
+        assert 0.2 <= time.monotonic() - start < 1.0
+
     def test_frame_larger_than_the_socket_buffers_arrives_whole(self):
         rng = np.random.default_rng(6)
         m = msg([rng.standard_normal((5000, 785))])
