@@ -12,16 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .linalg import RngStream, as_matrix, check_ridge, ridge_solve_blocks
 # Unused here; perfbench's tracer wraps ``bls.ridge_solve`` by this name.
 from .linalg import ridge_solve  # noqa: F401
 
-ACTIVATIONS = {
-    "tanh": np.tanh,
-    "sigmoid": expit,
-}
+
+def _sigmoid(x, out=None):
+    """1 / (1 + e^-x) as (1 + tanh(x / 2)) / 2, which overflows for no finite x."""
+    out = np.tanh(np.multiply(x, 0.5, out=out), out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+ACTIVATIONS = {"tanh": np.tanh, "sigmoid": _sigmoid}
 
 # The original BLS's shrinkage: enhancement inputs are scaled so that their
 # largest magnitude over the training rows is this value.

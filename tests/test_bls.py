@@ -173,6 +173,17 @@ class TestEnhancement:
         )
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_sigmoid_matches_scipy_expit_without_overflow(self, in_place):
+        expit = pytest.importorskip("scipy.special").expit
+        x = np.concatenate([np.linspace(-800.0, 800.0, 200_001),
+                            np.random.default_rng(8).uniform(-40.0, 40.0, 200_000)])
+        want = expit(x)
+        with np.errstate(all="raise"):
+            got = ACTIVATIONS["sigmoid"](x, out=x) if in_place else ACTIVATIONS["sigmoid"](x)
+        assert (got is x) == in_place
+        assert np.max(np.abs(got - want)) <= 2.3e-16
+
     @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
     @pytest.mark.parametrize("groups, dim", [(1, 40), (3, 13)])
     def test_in_place_blocks_match_stacked_reference_bit_for_bit(self, activation, groups, dim):

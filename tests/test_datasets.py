@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from scipy.ndimage import gaussian_filter
 
 from msbls import datasets
 from msbls.datasets import (
@@ -384,6 +383,7 @@ class TestDeskDatasetSource:
 def _per_row_synthetic(n_samples, seed):
     """Reference sampler: each row's prototype shifted on its own, with the
     same draws and arithmetic as ``synthetic_image_dataset``."""
+    gaussian_filter = pytest.importorskip("scipy.ndimage").gaussian_filter
     side, n_classes = 28, 10
     rng = np.random.Generator(np.random.PCG64(seed))
     protos = []
@@ -420,6 +420,14 @@ def test_synthetic_equals_per_row_reference(n_samples, seed):
     ds = synthetic_image_dataset(n_samples, seed=seed)
     x, labels = _per_row_synthetic(n_samples, seed)
     assert np.array_equal(ds.x, x) and np.array_equal(ds.labels, labels)
+
+
+def test_blur_equals_scipy_gaussian_filter_bit_for_bit():
+    gaussian_filter = pytest.importorskip("scipy.ndimage").gaussian_filter
+    rng = np.random.default_rng(30)
+    for _ in range(500):
+        field = rng.standard_normal((28, 28))
+        assert datasets._blur(field).tobytes(order="C") == gaussian_filter(field, sigma=3.0).tobytes()
 
 
 def test_synthetic_blocks_equal_per_row_reference(monkeypatch):

@@ -296,6 +296,39 @@ class TestRunExperiment:
             ExperimentConfig(transport="carrier-pigeon")
 
 
+class TestNumpyIsTheOnlyRuntime:
+    """With scipy made unimportable, the CLI imports and a run of every
+    baseline completes, under tanh and under sigmoid, and loads no scipy."""
+
+    SCRIPT = """
+import sys
+sys.modules["scipy"] = None
+import msbls.cli
+from msbls.bls import BlsHyperParams
+from msbls.experiment import ExperimentConfig, run_experiment
+for activation in ("tanh", "sigmoid"):
+    config = ExperimentConfig(train_size=200, test_size=50, baselines=("msbls", "nbls", "sbls"),
+                              hyper=BlsHyperParams(activation=activation))
+    reports = run_experiment(config)
+    assert [r.baseline for r in reports] == ["msbls", "nbls", "sbls_a", "sbls_b", "sbls"]
+    assert all(0.0 < r.gram_rcond <= 1.0 for r in reports)
+print(sorted(name for name, module in sys.modules.items()
+             if name.split(".")[0] == "scipy" and module is not None))
+"""
+
+    def test_cli_and_every_baseline_run_without_scipy(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", self.SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
 class TestCli:
     def test_smoke_run_with_summary(self, tmp_path):
         out = tmp_path / "m.jsonl"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve
 
 from msbls import linalg
 from msbls.linalg import (
@@ -279,6 +278,8 @@ class TestNumpyCholesky:
 
     @pytest.mark.parametrize("n", [400, 200], ids=["n>=f", "n<f"])
     def test_ridge_solve_blocks_matches_scipy_cho_solve(self, n):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        cho_factor, cho_solve = scipy_linalg.cho_factor, scipy_linalg.cho_solve
         rng = np.random.default_rng(n)
         zn, hm = rng.standard_normal((n, 100)), rng.standard_normal((n, 200))
         y, ridge = rng.standard_normal((n, 10)), 1e-2
@@ -293,6 +294,7 @@ class TestNumpyCholesky:
 
     @staticmethod
     def assert_scipy_names_the_same_minor(gram, minor):
+        cho_factor = pytest.importorskip("scipy.linalg").cho_factor
         with pytest.raises(np.linalg.LinAlgError) as scipy_error:
             cho_factor(gram)
         with pytest.raises(SolverError) as failure:
@@ -310,3 +312,27 @@ class TestNumpyCholesky:
         gram = np.diag(np.linspace(1.0, 2.0, 300))
         gram[minor - 1, minor - 1] = -1.0
         self.assert_scipy_names_the_same_minor(gram, minor)
+
+
+class TestRcondEstimate:
+    """``gram_rcond`` comes from a numpy port of LAPACK's ``dlacn2``, driven as
+    ``dpocon`` drives it; scipy's ``dpocon``, which it replaced, is the reference."""
+
+    @staticmethod
+    def assert_matches_dpocon(gram):
+        dpocon = pytest.importorskip("scipy.linalg.lapack").dpocon
+        low, anorm = np.linalg.cholesky(gram), np.linalg.norm(gram, 1)
+        want = dpocon(low.T, anorm, "U")[0]
+        assert abs(linalg._rcond_estimate(low, anorm) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("order", [1, 2, 127, 128, 129, 300])
+    def test_matches_dpocon(self, order):
+        rng = np.random.default_rng(order)
+        a = rng.standard_normal((2 * order, order)) * rng.uniform(0.01, 100.0, order)
+        self.assert_matches_dpocon(a.T @ a + 1e-2 * np.eye(order))
+
+    def test_matches_dpocon_on_a_rank_deficient_gram_plus_the_default_ridge(self):
+        # 200 columns spanning 50 dimensions, as mapped features wider than the input.
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((400, 50)) @ rng.standard_normal((50, 200))
+        self.assert_matches_dpocon(a.T @ a + 1e-8 * np.eye(200))
