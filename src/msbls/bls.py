@@ -2,9 +2,10 @@
 
 The model is wide, not deep: a bank of random affine maps produces the
 mapped features, a nonlinear activation of further random combinations
-produces the enhancement features, and a single ridge solve fits the linear
-readout from the concatenated features to one-hot labels. The readout is
-fitted and scored from the two feature blocks, without stacking them.
+produces the enhancement features, scaled in one pass over the training
+rows, and a single ridge solve fits the linear readout from the
+concatenated features to one-hot labels. The readout is fitted and scored
+from the two feature blocks, without stacking them.
 """
 
 from __future__ import annotations
@@ -31,11 +32,6 @@ ACTIVATIONS = {"tanh": np.tanh, "sigmoid": _sigmoid}
 # The original BLS's shrinkage: enhancement inputs are scaled so that their
 # largest magnitude over the training rows is this value.
 SHRINKAGE = 0.8
-# The shrinkage pass takes its peak over blocks of about this many rows (16 MB
-# of pre-activations at the default 1000 enhancement columns). The blocks are
-# near-equal, so none has a single row: numpy multiplies one row by another
-# BLAS routine, whose sums round differently.
-SHRINK_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -134,12 +130,16 @@ def stack_affine_groups(groups) -> np.ndarray:
     return np.hstack([np.vstack([w, b]) for w, b in groups])
 
 
+def _finite_features(zn) -> np.ndarray:
+    """Mapped features, checked where they are made; later layers take them as given."""
+    if not np.all(np.isfinite(zn)):
+        raise ValueError("mapped features contain non-finite entries")
+    return zn
+
+
 def mapped_features_simplified(x_aug, map_key, mix_key) -> np.ndarray:
     """Single-product form of the mapped features: (X_aug @ W0) @ W1."""
-    x_aug = as_matrix(x_aug, "X_aug")
-    map_key = as_matrix(map_key, "map_key")
-    mix_key = as_matrix(mix_key, "mix_key")
-    return (x_aug @ map_key) @ mix_key
+    return _finite_features((x_aug @ map_key) @ mix_key)
 
 
 def assemble_mapped_features(own_a, cross_ab, cross_ba, own_b, mix_key) -> np.ndarray:
@@ -167,38 +167,60 @@ def joint_mapped_features(x_a, x_b, key_a, key_b, mix_key) -> np.ndarray:
         x_aug = augment(x)
         return x_aug @ key_a, x_aug @ key_b
 
-    return assemble_mapped_features(*products(x_a), *products(x_b), mix_key)
+    return _finite_features(assemble_mapped_features(*products(x_a), *products(x_b), mix_key))
 
 
-def enhancement_features(zn, keys, activation: str = "tanh",
-                         health: dict | None = None) -> np.ndarray:
-    """Activated random combinations of the mapped features.
-
-    Each key is a (weights, bias_row) pair; outputs lie in (-1, 1) for tanh
-    and (0, 1) for sigmoid, up to float64 saturation at the bounds. Each
-    group is computed in place in its column block of the one output array,
-    bit-identical to ``np.hstack([act(zn @ w + b) for w, b in keys])``. If
-    ``health`` is a dict, it gets the rows' peak |pre-activation| over
-    ``SHRINKAGE`` under ``"preact_ratio"``: above 1, the rows leave the
-    range that the shrinkage scale was fitted on.
-    """
-    zn = as_matrix(zn, "Zn")
-    act = ACTIVATIONS[activation]
+def _preactivations(zn, keys) -> np.ndarray:
+    """[Zn W_1 + b_1 | ... | Zn W_m + b_m], each group written into its column block."""
     if not keys:
         raise ValueError("at least one enhancement key is required")
-    out = np.empty((zn.shape[0], sum(weights.shape[1] for weights, _ in keys)))
-    end, peak = 0, 0.0
+    out = np.empty((len(zn), sum(weights.shape[1] for weights, _ in keys)))
+    end = 0
     for weights, bias_row in keys:
         block = out[:, end : end + weights.shape[1]]
         end += weights.shape[1]
         np.matmul(zn, weights, out=block)
         block += bias_row
-        if health is not None:
-            peak = max(peak, block.max(), -block.min())
-        act(block, out=block)
-    if health is not None:
-        health["preact_ratio"] = float(peak / SHRINKAGE)
     return out
+
+
+def enhancement_features(zn, keys, activation: str = "tanh",
+                         health: dict | None = None) -> np.ndarray:
+    """The test rows' enhancement features, under the keys ``fit_enhancement`` scaled.
+
+    Each key is a (weights, bias_row) pair; outputs lie in (-1, 1) for tanh
+    and (0, 1) for sigmoid, up to float64 saturation at the bounds,
+    bit-identical to ``np.hstack([act(zn @ w + b) for w, b in keys])``. If
+    ``health`` is a dict, it gets the rows' peak |pre-activation| over
+    ``SHRINKAGE`` under ``"preact_ratio"``: above 1, the rows leave the
+    range that the shrinkage scale was fitted on.
+    """
+    out = _preactivations(zn, keys)
+    if health is not None:
+        health["preact_ratio"] = float(max(out.max(), -out.min()) / SHRINKAGE)
+    return ACTIVATIONS[activation](out, out=out)
+
+
+def fit_enhancement(zn, keys, activation: str = "tanh"):
+    """Scaled keys and the training rows' enhancement features H, in one pass.
+
+    The keys are scaled by ``SHRINKAGE / max|Zn W + b|`` over the rows of
+    ``zn`` and every group: the original BLS's shrinkage (Chen & Liu, IEEE
+    TNNLS 2018), which keeps the activation out of saturation. H holds the
+    pre-activations, scaled and activated in place, so it is finite by
+    construction; it rounds differently from the test rows' map,
+    ``enhancement_features(zn, scaled_keys)``, by about 1e-15. A peak that
+    is not finite and positive, as when finite features overflow, raises
+    ValueError.
+    """
+    h = _preactivations(zn, keys)
+    peak = max(h.max(), -h.min())  # NaN if any entry is
+    if not 0 < peak < np.inf:
+        raise ValueError(f"shrinkage needs a finite, positive pre-activation peak, got {peak}")
+    scale = SHRINKAGE / peak
+    h *= scale
+    ACTIVATIONS[activation](h, out=h)
+    return [(weights * scale, bias_row * scale) for weights, bias_row in keys], h
 
 
 def generate_map_key_half(d: int, hyper: BlsHyperParams, rng: RngStream) -> np.ndarray:
@@ -223,28 +245,6 @@ def generate_enhancement_keys(hyper: BlsHyperParams, rng: RngStream):
         bias_row = rng.uniform(-1.0, 1.0, 1, hyper.enh_dim)
         keys.append((weights, bias_row))
     return keys
-
-
-def shrink_enhancement_keys(zn, keys):
-    """The keys scaled by ``SHRINKAGE / max|Zn W + b|`` over the rows of ``zn``.
-
-    This is the shrinkage scale of the original BLS (Chen & Liu, IEEE TNNLS
-    2018): it keeps the activation out of saturation and the readout well
-    conditioned. The peak is taken over blocks of about
-    ``SHRINK_BLOCK_ROWS`` rows of one group at a time, and no block is alive
-    once this returns. Training and test rows then go through
-    ``enhancement_features`` with the same scaled keys.
-    """
-    peak = 0.0
-    blocks = np.array_split(zn, max(1, -(-len(zn) // SHRINK_BLOCK_ROWS)))
-    for weights, bias_row in keys:
-        for block in blocks:
-            pre = block @ weights
-            pre += bias_row
-            peak = max(peak, pre.max(), -pre.min())
-            del pre
-    scale = SHRINKAGE / peak
-    return [(weights * scale, bias_row * scale) for weights, bias_row in keys]
 
 
 def train_output_weights(zn, hm, y_onehot, ridge: float, health: dict | None = None) -> np.ndarray:

@@ -197,9 +197,9 @@ def _fit_and_evaluate(baseline: str, dataset: str, config: ExperimentConfig, see
     """Map the training rows, fit the readout, map and score the test rows,
     and build the run's report, model and result.
 
-    The shrinkage scale is taken from the training features and folded into
-    the enhancement keys, so training and test rows share one enhancement
-    map, and both are scored from their feature blocks by
+    ``bls.fit_enhancement`` makes the training enhancement block in one pass
+    and folds its shrinkage scale into the enhancement keys, which map the
+    test rows. Both row sets are scored from their feature blocks by
     ``bls.readout_scores``, whose rounding margin moves no prediction.
 
     ``features(rows)`` maps ``train_rows`` or ``test_rows``, each a list of
@@ -217,10 +217,9 @@ def _fit_and_evaluate(baseline: str, dataset: str, config: ExperimentConfig, see
     started = time.perf_counter()
     zn_train = features(train_rows)
     y = one_hot(train_labels, num_classes)
-    enh_keys = bls.shrink_enhancement_keys(
-        zn_train, bls.generate_enhancement_keys(hyper, enh_stream)
+    enh_keys, hm = bls.fit_enhancement(
+        zn_train, bls.generate_enhancement_keys(hyper, enh_stream), hyper.activation
     )
-    hm = bls.enhancement_features(zn_train, enh_keys, hyper.activation)
     health = {}
     try:
         weights = bls.train_output_weights(zn_train, hm, y, hyper.ridge, health)

@@ -197,7 +197,7 @@ def pseudoinverse(a, ridge: float) -> np.ndarray:
     cols(A) x rows(A). The factorization runs on the smaller Gram matrix.
     """
     a = as_matrix(a, "A")
-    return ridge_solve(a, np.eye(a.shape[0]), ridge)
+    return ridge_solve_blocks([a], np.eye(a.shape[0]), ridge)
 
 
 def ridge_solve(a, y, ridge: float) -> np.ndarray:
@@ -206,7 +206,7 @@ def ridge_solve(a, y, ridge: float) -> np.ndarray:
     Equivalent to ``pseudoinverse(A, ridge) @ Y`` but never materializes the
     pseudoinverse.
     """
-    return ridge_solve_blocks([a], y, ridge)
+    return ridge_solve_blocks([as_matrix(a, "A")], as_matrix(y, "Y"), ridge)
 
 
 def ridge_solve_blocks(blocks, y, ridge: float, health: dict | None = None) -> np.ndarray:
@@ -215,12 +215,11 @@ def ridge_solve_blocks(blocks, y, ridge: float, health: dict | None = None) -> n
     With n >= f the f x f Gram matrix is filled block by block, each
     diagonal block as ``b.T @ b`` on one array so that numpy takes its
     symmetric kernel; with n < f the n x n kernel is the sum of ``b @ b.T``.
-    ``ridge_solve`` is its one-block call. If ``health`` is a dict,
+    ``ridge_solve`` is its one-block call, and checks its operands; here they
+    are taken as given, finite 2-D float64 arrays. If ``health`` is a dict,
     the solve stores the factorized matrix's reciprocal condition estimate,
     to three significant digits, in it under ``"gram_rcond"``.
     """
-    blocks = [as_matrix(b, f"A block {i}") for i, b in enumerate(blocks)]
-    y = as_matrix(y, "Y")
     check_ridge(ridge)
     n = blocks[0].shape[0]
     edges = np.cumsum([0] + [b.shape[1] for b in blocks])

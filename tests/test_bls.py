@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from msbls import bls
 from msbls.bls import (
     ACTIVATIONS,
     BlsHyperParams,
     augment,
     classic_mapped_features,
     enhancement_features,
+    fit_enhancement,
     generate_enhancement_keys,
     generate_full_map_key,
     generate_mix_key,
@@ -20,7 +20,6 @@ from msbls.bls import (
     mapped_features_simplified,
     predict_labels,
     readout_scores,
-    shrink_enhancement_keys,
     stack_affine_groups,
     train_output_weights,
 )
@@ -127,6 +126,16 @@ class TestMappedFeatures:
             classic_mapped_features([[1.0, 2.0]], [(np.eye(3), np.zeros((1, 3)))])
         with pytest.raises(ValueError):
             mapped_features_simplified(np.ones((2, 3)), np.ones((4, 5)), np.eye(5))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_features_are_refused_where_they_are_made(self):
+        # Finite rows and keys; only the mixed product overflows. The
+        # enhancement fit and the readout do not scan Zn again.
+        x, key, mix = np.ones((3, 2)), np.ones((3, 2)), np.full((4, 4), 1e308)
+        with pytest.raises(ValueError, match="^mapped features contain non-finite entries$"):
+            joint_mapped_features(x, x, key, key, mix)
+        with pytest.raises(ValueError, match="^mapped features contain non-finite entries$"):
+            mapped_features_simplified(augment(x), np.hstack([key, key]), mix)
 
     def test_scalar_bias_row_rejected(self):
         # A (1, 1) bias would broadcast over every column of a wider group.
@@ -343,7 +352,7 @@ class TestShrinkage:
         rng = np.random.default_rng(8)
         zn = rng.standard_normal((50, 6)) * 30
         keys = [(rng.standard_normal((6, k)), rng.uniform(-1, 1, (1, k))) for k in (4, 7)]
-        scaled = shrink_enhancement_keys(zn, keys)
+        scaled, h = fit_enhancement(zn, keys, "tanh")
         peak = max(np.max(np.abs(zn @ w + b)) for w, b in scaled)
         assert peak == pytest.approx(0.8, rel=1e-12)
         scale = scaled[0][0][0, 0] / keys[0][0][0, 0]
@@ -351,40 +360,55 @@ class TestShrinkage:
             assert np.allclose(w, w0 * scale, rtol=1e-15)
             assert np.allclose(b, b0 * scale, rtol=1e-15)
         # Scaled by 0.8 / peak, tanh stays below 0.67 on the rows that set the scale.
+        assert np.max(np.abs(h)) < 0.67
         assert np.max(np.abs(enhancement_features(zn, scaled, "tanh"))) < 0.67
 
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
     @pytest.mark.parametrize("rows", [49, 50, 301])
-    def test_row_blocks_give_the_one_block_scale(self, monkeypatch, rows):
-        # Blocks of about four rows. The last row sets the peak, so a
-        # one-row block, whose product another BLAS routine sums, would
-        # show in the scale.
+    def test_fitted_h_matches_enhancement_features_under_the_scaled_keys(self, rows, activation):
+        # The fit scales the product, the test rows' map the keys: the two
+        # round differently, but only in the last bits. The last row sets the
+        # peak, and the two groups share one scale.
         rng = np.random.default_rng(rows)
         zn = rng.standard_normal((rows, 100)) * 30
         zn[-1] *= 10
         keys = [(rng.standard_normal((100, k)), rng.uniform(-1, 1, (1, k))) for k in (64, 37)]
-        whole = shrink_enhancement_keys(zn, keys)
-        monkeypatch.setattr(bls, "SHRINK_BLOCK_ROWS", 4)
-        for (w, b), (w0, b0) in zip(shrink_enhancement_keys(zn, keys), whole):
-            assert w.tobytes() == w0.tobytes() and b.tobytes() == b0.tobytes()
+        scaled, h = fit_enhancement(zn, keys, activation)
+        assert h.shape == (rows, 101)
+        assert np.max(np.abs(h - enhancement_features(zn, scaled, activation))) <= 1e-15
 
-    def test_peak_memory_stays_below_one_pre_activation_block(self, monkeypatch):
-        monkeypatch.setattr(bls, "SHRINK_BLOCK_ROWS", 256)
+    def test_peak_memory_is_the_output_and_the_scaled_keys(self):
+        # No pre-activation block and no copy of H: beyond H (16 MB) and the
+        # scaled keys (0.8 MB) the fit allocates less than 64 KiB.
         rng = np.random.default_rng(12)
         zn = rng.standard_normal((2000, 100))
         keys = [(rng.standard_normal((100, 1000)), rng.uniform(-1, 1, (1, 1000)))]
         tracemalloc.start()
         try:
-            shrink_enhancement_keys(zn, keys)
+            scaled, h = fit_enhancement(zn, keys, "tanh")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2000 * 1000 * 8 / 2
+        output = h.nbytes + sum(w.nbytes + b.nbytes for w, b in scaled)
+        assert peak < output + 64 * 1024
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("zn, peak", [(np.full((50, 100), 1e307), "inf"),
+                                          (np.zeros((50, 100)), "0.0")],
+                             ids=["overflow", "zero"])
+    def test_peak_that_is_not_finite_and_positive_is_refused(self, zn, peak):
+        # Finite features whose pre-activations overflow would get a zero
+        # scale and an H of zeros or NaN; all-zero ones would divide by zero.
+        keys = [(np.random.default_rng(13).uniform(0.5, 1.0, (100, 30)), np.zeros((1, 30)))]
+        with pytest.raises(ValueError, match="^shrinkage needs a finite, positive "
+                                             f"pre-activation peak, got {peak}$"):
+            fit_enhancement(zn, keys, "tanh")
 
     def test_preact_ratio_is_one_on_the_fitted_rows_and_fires_beyond_them(self):
         rng = np.random.default_rng(10)
         zn = rng.standard_normal((40, 6)) * 30
         keys = [(rng.standard_normal((6, k)), rng.uniform(-1, 1, (1, k))) for k in (5, 3)]
-        scaled = shrink_enhancement_keys(zn, keys)
+        scaled, _ = fit_enhancement(zn, keys, "tanh")
         health = {}
         h = enhancement_features(zn, scaled, "tanh", health)
         assert health["preact_ratio"] == pytest.approx(1.0, rel=1e-12)

@@ -57,6 +57,16 @@ class TestRandomMatrix:
         draw = random_matrix(200, 5, ("uniform", -2.0, 3.0), RngStream(5))
         assert draw.min() >= -2.0 and draw.max() <= 3.0
 
+    @pytest.mark.parametrize("dist", ["standard_normal", ("uniform", -2.0, 3.0)],
+                             ids=["normal", "uniform"])
+    def test_one_row_draw_is_the_streams_first_row(self, dist):
+        draw = random_matrix(1, 4, dist, RngStream(6))
+        reference = RngStream(6)
+        expected = (reference.standard_normal(1, 4) if dist == "standard_normal"
+                    else reference.uniform(-2.0, 3.0, 1, 4))
+        assert draw.shape == (1, 4)
+        assert np.array_equal(draw, expected)
+
     @pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0), (-1, 2)])
     def test_zero_dimension_rejected(self, rows, cols):
         with pytest.raises(ValueError):

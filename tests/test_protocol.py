@@ -564,6 +564,18 @@ class TestAbort:
         with pytest.raises(ProtocolAbort):
             server.result()
 
+    def test_abort_outside_a_session_carries_no_parties_or_time(self):
+        # Only run_protocol fills these in, once the session is closed.
+        server = ServerParty(
+            bytes(16), 2, 2, 2, BlsHyperParams(map_groups=2, map_dim=4),
+            mask_rng=RngStream(0), mix_rng=RngStream(1),
+        )
+        with pytest.raises(ProtocolAbort) as excinfo:
+            server.result()
+        assert (excinfo.value.role, excinfo.value.seq) == (Role.SERVER, None)
+        assert excinfo.value.parties is None
+        assert excinfo.value.elapsed_s is None
+
     def _assert_tampered_session_aborts(self, seq, rewrite):
         abort = session_abort(*uniform_rows(11), 12, seq=seq, rewrite=rewrite)
         assert (abort.role, abort.seq) == (RECEIVER_OF_SEQ[seq], seq)
