@@ -16,11 +16,17 @@ its parent on one machine, never across machines. Exits 1 if the bus and
 TCP features differ, or if zero-mask msbls differs from nbls in features,
 weights or predictions.
 
-With --compare, reads two printed fingerprints of one checkout, taken at
-different BLAS thread counts, instead of running anything, and exits 1 if
-they differ in any THREAD_INDEPENDENT digest.
+With --golden, prints only the numpy version and the THREAD_INDEPENDENT
+digests: the content of tests/golden_fingerprint.json at --size smoke,
+which tier-1 compares with a fresh smoke run under the numpy version it
+names.
 
-Usage: python scripts/fingerprint.py [--size desk|smoke]
+With --compare, reads two printed fingerprints, taken at different BLAS
+thread counts or one of them the golden file, instead of running anything,
+and exits 1 if they differ in any THREAD_INDEPENDENT digest that the first
+one holds.
+
+Usage: python scripts/fingerprint.py [--size desk|smoke] [--golden]
        python scripts/fingerprint.py --compare A.json B.json
 """
 
@@ -130,28 +136,41 @@ def failed_checks(prints: dict) -> list[str]:
     ]
 
 
+def thread_independent(runners: dict) -> dict:
+    """{runner: {artifact: sha256}} cut down to the THREAD_INDEPENDENT artifacts."""
+    return {runner: {name: digests[name] for name in THREAD_INDEPENDENT if name in digests}
+            for runner, digests in runners.items()}
+
+
 def compare(paths) -> None:
     """Print how many THREAD_INDEPENDENT digests of two printed fingerprints
     agree, and exit: 0 if all agree, else 1."""
-    first, second = (json.loads(Path(path).read_text())["runners"] for path in paths)
+    first, second = (thread_independent(json.loads(Path(path).read_text())["runners"])
+                     for path in paths)
     if first.keys() != second.keys():
         sys.exit(f"runners differ: {sorted(first)} vs {sorted(second)}")
-    pairs = [(runner, name) for runner in first for name in THREAD_INDEPENDENT
-             if name in first[runner]]
+    pairs = [(runner, name) for runner in first for name in first[runner]]
     differ = [pair for pair in pairs if first[pair[0]][pair[1]] != second[pair[0]].get(pair[1])]
     print(f"{len(pairs) - len(differ)} of {len(pairs)} thread-independent digests agree")
-    sys.exit(f"differ between BLAS thread counts: {differ}" if differ else 0)
+    sys.exit(f"thread-independent digests differ: {differ}" if differ else 0)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--size", choices=sorted(SIZES), default="desk")
+    parser.add_argument("--golden", action="store_true",
+                        help="print the numpy version and the thread-independent digests only")
     parser.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"))
     args = parser.parse_args()
     if args.compare:
         compare(args.compare)
     prints = fingerprint(args.size)
-    print(json.dumps(prints, indent=1, sort_keys=True))
+    if args.golden:
+        out = {"numpy": np.__version__, "size": args.size,
+               "runners": thread_independent(prints["runners"])}
+    else:
+        out = prints
+    print(json.dumps(out, indent=1, sort_keys=True))
     failures = failed_checks(prints)
     for failure in failures:
         print(f"fingerprint check failed: {failure}", file=sys.stderr)

@@ -83,15 +83,16 @@ class BlsHyperParams:
 
 @dataclass
 class BlsModel:
-    """Trained state: second-stage mix key, enhancement keys, readout weights.
+    """Trained state: second-stage mix key, enhancement key, readout weights.
 
-    The enhancement keys carry the shrinkage scale already folded in. The
-    first-stage mapping key is deliberately not part of the model; in the
-    masked setting it only ever exists as per-client halves.
+    The enhancement key is one (weights, bias_row) pair over all m groups,
+    with the shrinkage scale already folded in. The first-stage mapping key
+    is deliberately not part of the model; in the masked setting it only
+    ever exists as per-client halves.
     """
 
     mix_key: np.ndarray
-    enhancement_keys: list[tuple[np.ndarray, np.ndarray]]
+    enhancement_keys: tuple[np.ndarray, np.ndarray]
     output_weights: np.ndarray
     hyperparams: BlsHyperParams
 
@@ -171,26 +172,20 @@ def joint_mapped_features(x_a, x_b, key_a, key_b, mix_key) -> np.ndarray:
 
 
 def _preactivations(zn, keys) -> np.ndarray:
-    """[Zn W_1 + b_1 | ... | Zn W_m + b_m], each group written into its column block."""
-    if not keys:
-        raise ValueError("at least one enhancement key is required")
-    out = np.empty((len(zn), sum(weights.shape[1] for weights, _ in keys)))
-    end = 0
-    for weights, bias_row in keys:
-        block = out[:, end : end + weights.shape[1]]
-        end += weights.shape[1]
-        np.matmul(zn, weights, out=block)
-        block += bias_row
+    """Zn W + b for the (weights, bias_row) pair ``keys``."""
+    weights, bias_row = keys
+    out = zn @ weights
+    out += bias_row
     return out
 
 
 def enhancement_features(zn, keys, activation: str = "tanh",
                          health: dict | None = None) -> np.ndarray:
-    """The test rows' enhancement features, under the keys ``fit_enhancement`` scaled.
+    """The test rows' enhancement features, under the key ``fit_enhancement`` scaled.
 
-    Each key is a (weights, bias_row) pair; outputs lie in (-1, 1) for tanh
-    and (0, 1) for sigmoid, up to float64 saturation at the bounds,
-    bit-identical to ``np.hstack([act(zn @ w + b) for w, b in keys])``. If
+    ``keys`` is one (weights, bias_row) pair over all m groups; outputs lie
+    in (-1, 1) for tanh and (0, 1) for sigmoid, up to float64 saturation at
+    the bounds, bit-identical to ``act(zn @ weights + bias_row)``. If
     ``health`` is a dict, it gets the rows' peak |pre-activation| over
     ``SHRINKAGE`` under ``"preact_ratio"``: above 1, the rows leave the
     range that the shrinkage scale was fitted on.
@@ -202,10 +197,10 @@ def enhancement_features(zn, keys, activation: str = "tanh",
 
 
 def fit_enhancement(zn, keys, activation: str = "tanh"):
-    """Scaled keys and the training rows' enhancement features H, in one pass.
+    """The scaled key and the training rows' enhancement features H, in one pass.
 
-    The keys are scaled by ``SHRINKAGE / max|Zn W + b|`` over the rows of
-    ``zn`` and every group: the original BLS's shrinkage (Chen & Liu, IEEE
+    The key is scaled by ``SHRINKAGE / max|Zn W + b|`` over the rows of
+    ``zn`` and every column: the original BLS's shrinkage (Chen & Liu, IEEE
     TNNLS 2018), which keeps the activation out of saturation. H holds the
     pre-activations, scaled and activated in place, so it is finite by
     construction; it rounds differently from the test rows' map,
@@ -220,7 +215,8 @@ def fit_enhancement(zn, keys, activation: str = "tanh"):
     scale = SHRINKAGE / peak
     h *= scale
     ACTIVATIONS[activation](h, out=h)
-    return [(weights * scale, bias_row * scale) for weights, bias_row in keys], h
+    weights, bias_row = keys
+    return (weights * scale, bias_row * scale), h
 
 
 def generate_map_key_half(d: int, hyper: BlsHyperParams, rng: RngStream) -> np.ndarray:
@@ -238,13 +234,14 @@ def generate_mix_key(hyper: BlsHyperParams, rng: RngStream) -> np.ndarray:
 
 
 def generate_enhancement_keys(hyper: BlsHyperParams, rng: RngStream):
-    """Weights ~ standard normal, bias rows ~ uniform(-1, 1)."""
-    keys = []
-    for _ in range(hyper.enh_groups):
-        weights = rng.standard_normal(hyper.mapped_width, hyper.enh_dim)
-        bias_row = rng.uniform(-1.0, 1.0, 1, hyper.enh_dim)
-        keys.append((weights, bias_row))
-    return keys
+    """One (weights, bias_row) key for all m enhancement groups: mapped_width x
+    m*enh_dim weights ~ standard normal and a 1 x m*enh_dim bias row ~
+    uniform(-1, 1), drawn group by group (each group's weights, then its bias
+    row) and stacked side by side."""
+    groups = [(rng.standard_normal(hyper.mapped_width, hyper.enh_dim),
+               rng.uniform(-1.0, 1.0, 1, hyper.enh_dim)) for _ in range(hyper.enh_groups)]
+    weights, bias_rows = zip(*groups)
+    return np.hstack(weights), np.hstack(bias_rows)
 
 
 def train_output_weights(zn, hm, y_onehot, ridge: float, health: dict | None = None) -> np.ndarray:

@@ -26,6 +26,12 @@ from msbls.bls import (
 from msbls.linalg import RngStream
 
 
+def stacked_key(groups):
+    """One (weights, bias_row) enhancement key from per-group pairs, side by side."""
+    weights, bias_rows = zip(*groups)
+    return np.hstack(weights), np.hstack(bias_rows)
+
+
 class TestHyperParams:
     def test_defaults_are_valid(self):
         hp = BlsHyperParams()
@@ -146,13 +152,13 @@ class TestMappedFeatures:
 class TestEnhancement:
     def test_zero_input_zero_output_tanh(self):
         out = enhancement_features(
-            np.zeros((3, 2)), [(np.ones((2, 4)), np.zeros((1, 4)))], "tanh"
+            np.zeros((3, 2)), (np.ones((2, 4)), np.zeros((1, 4))), "tanh"
         )
         assert np.all(out == 0.0)
 
     def test_scalar_tanh_value(self):
         out = enhancement_features(
-            [[1.0]], [(np.array([[1.0]]), np.array([[0.0]]))], "tanh"
+            [[1.0]], (np.array([[1.0]]), np.array([[0.0]])), "tanh"
         )
         # Independent evaluation of the same activation.
         assert abs(out[0, 0] - math.tanh(1.0)) < 1e-9
@@ -161,7 +167,7 @@ class TestEnhancement:
     def test_tanh_strictly_inside_for_moderate_inputs(self, seed, scale):
         rng = np.random.default_rng(seed)
         zn = rng.uniform(-scale, scale, (5, 3))
-        keys = [(rng.standard_normal((3, 4)) * 0.3, rng.uniform(-1, 1, (1, 4)))]
+        keys = (rng.standard_normal((3, 4)) * 0.3, rng.uniform(-1, 1, (1, 4)))
         out = enhancement_features(zn, keys, "tanh")
         assert np.max(np.abs(out)) < 1.0
 
@@ -169,7 +175,7 @@ class TestEnhancement:
         # float64 tanh saturates to exactly +-1.0 for |x| above ~19; the
         # bound is still never exceeded.
         out = enhancement_features(
-            [[1e6]], [(np.array([[1.0]]), np.array([[0.0]]))], "tanh"
+            [[1e6]], (np.array([[1.0]]), np.array([[0.0]])), "tanh"
         )
         assert np.max(np.abs(out)) <= 1.0
 
@@ -177,7 +183,7 @@ class TestEnhancement:
         rng = np.random.default_rng(3)
         out = enhancement_features(
             rng.uniform(-5, 5, (4, 3)),
-            [(rng.standard_normal((3, 6)), rng.uniform(-1, 1, (1, 6)))],
+            (rng.standard_normal((3, 6)), rng.uniform(-1, 1, (1, 6))),
             "sigmoid",
         )
         assert np.all(out > 0.0) and np.all(out < 1.0)
@@ -198,10 +204,11 @@ class TestEnhancement:
     def test_in_place_blocks_match_stacked_reference_bit_for_bit(self, activation, groups, dim):
         rng = np.random.default_rng(groups)
         zn = rng.standard_normal((101, 9))
-        keys = [(rng.standard_normal((9, dim)), rng.uniform(-1, 1, (1, dim))) for _ in range(groups)]
-        act = ACTIVATIONS[activation]
-        reference = np.hstack([act(zn @ w + b) for w, b in keys])
-        out = enhancement_features(zn, keys, activation)
+        weights, bias_row = stacked_key(
+            [(rng.standard_normal((9, dim)), rng.uniform(-1, 1, (1, dim))) for _ in range(groups)]
+        )
+        reference = ACTIVATIONS[activation](zn @ weights + bias_row)
+        out = enhancement_features(zn, (weights, bias_row), activation)
         assert out.shape == (101, groups * dim)
         assert out.tobytes() == reference.tobytes()
 
@@ -312,6 +319,19 @@ class TestDeterminismAndJointForm:
 
         assert np.array_equal(build(), build())
 
+    def test_enhancement_key_stacks_the_groups_in_draw_order(self):
+        # --m groups draw one after another from one stream, each its weights
+        # and then its bias row, so the stacked key keeps the per-group draws.
+        hyper = BlsHyperParams(map_groups=2, map_dim=3, enh_groups=3, enh_dim=4)
+        weights, bias_row = generate_enhancement_keys(hyper, RngStream(5))
+        gen = np.random.Generator(np.random.PCG64(5))
+        want_w, want_b = stacked_key(
+            [(gen.standard_normal((6, 4)), gen.uniform(-1.0, 1.0, (1, 4))) for _ in range(3)]
+        )
+        assert (weights.shape, bias_row.shape) == ((6, 12), (1, 12))
+        assert weights.tobytes() == want_w.tobytes()
+        assert bias_row.tobytes() == want_b.tobytes()
+
     def test_joint_blockwise_matches_single_product(self):
         rng = np.random.default_rng(12)
         hyper = BlsHyperParams(map_groups=2, map_dim=4)
@@ -330,49 +350,49 @@ class TestDeterminismAndJointForm:
 
 class TestShapeMismatchesRaise:
     """The products refuse mismatched operands themselves, so each public call
-    raises ValueError; only a missing enhancement key needs its own check."""
+    raises ValueError without a check of its own."""
 
     def test_map_key_against_mix_key(self):
         with pytest.raises(ValueError):
             mapped_features_simplified(np.ones((2, 3)), np.ones((3, 4)), np.eye(5))
 
     def test_enhancement_key_width(self):
-        keys = [(np.ones((4, 3)), np.zeros((1, 3))), (np.ones((5, 2)), np.zeros((1, 2)))]
         with pytest.raises(ValueError):
-            enhancement_features(np.ones((2, 4)), keys)
-
-    def test_no_enhancement_key(self):
-        # An empty key list would give a zero-width H without complaint.
-        with pytest.raises(ValueError, match="at least one enhancement key"):
-            enhancement_features(np.ones((2, 4)), [])
+            enhancement_features(np.ones((2, 4)), (np.ones((5, 3)), np.zeros((1, 3))))
+        with pytest.raises(ValueError):
+            enhancement_features(np.ones((2, 4)), (np.ones((4, 3)), np.zeros((1, 2))))
 
 
 class TestShrinkage:
     def test_scaled_peak_is_the_shrinkage(self):
         rng = np.random.default_rng(8)
         zn = rng.standard_normal((50, 6)) * 30
-        keys = [(rng.standard_normal((6, k)), rng.uniform(-1, 1, (1, k))) for k in (4, 7)]
+        keys = stacked_key(
+            [(rng.standard_normal((6, k)), rng.uniform(-1, 1, (1, k))) for k in (4, 7)]
+        )
         scaled, h = fit_enhancement(zn, keys, "tanh")
-        peak = max(np.max(np.abs(zn @ w + b)) for w, b in scaled)
-        assert peak == pytest.approx(0.8, rel=1e-12)
-        scale = scaled[0][0][0, 0] / keys[0][0][0, 0]
-        for (w, b), (w0, b0) in zip(scaled, keys):
-            assert np.allclose(w, w0 * scale, rtol=1e-15)
-            assert np.allclose(b, b0 * scale, rtol=1e-15)
+        (w, b), (w0, b0) = scaled, keys
+        assert np.max(np.abs(zn @ w + b)) == pytest.approx(0.8, rel=1e-12)
+        scale = w[0, 0] / w0[0, 0]
+        assert np.allclose(w, w0 * scale, rtol=1e-15)
+        assert np.allclose(b, b0 * scale, rtol=1e-15)
         # Scaled by 0.8 / peak, tanh stays below 0.67 on the rows that set the scale.
         assert np.max(np.abs(h)) < 0.67
         assert np.max(np.abs(enhancement_features(zn, scaled, "tanh"))) < 0.67
 
+    @pytest.mark.one_blas_thread
     @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
     @pytest.mark.parametrize("rows", [49, 50, 301])
     def test_fitted_h_matches_enhancement_features_under_the_scaled_keys(self, rows, activation):
         # The fit scales the product, the test rows' map the keys: the two
         # round differently, but only in the last bits. The last row sets the
-        # peak, and the two groups share one scale.
+        # peak; the key stacks two groups' draws, 64 and 37 columns wide.
         rng = np.random.default_rng(rows)
         zn = rng.standard_normal((rows, 100)) * 30
         zn[-1] *= 10
-        keys = [(rng.standard_normal((100, k)), rng.uniform(-1, 1, (1, k))) for k in (64, 37)]
+        keys = stacked_key(
+            [(rng.standard_normal((100, k)), rng.uniform(-1, 1, (1, k))) for k in (64, 37)]
+        )
         scaled, h = fit_enhancement(zn, keys, activation)
         assert h.shape == (rows, 101)
         assert np.max(np.abs(h - enhancement_features(zn, scaled, activation))) <= 1e-15
@@ -382,14 +402,14 @@ class TestShrinkage:
         # scaled keys (0.8 MB) the fit allocates less than 64 KiB.
         rng = np.random.default_rng(12)
         zn = rng.standard_normal((2000, 100))
-        keys = [(rng.standard_normal((100, 1000)), rng.uniform(-1, 1, (1, 1000)))]
+        keys = (rng.standard_normal((100, 1000)), rng.uniform(-1, 1, (1, 1000)))
         tracemalloc.start()
         try:
             scaled, h = fit_enhancement(zn, keys, "tanh")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        output = h.nbytes + sum(w.nbytes + b.nbytes for w, b in scaled)
+        output = h.nbytes + sum(part.nbytes for part in scaled)
         assert peak < output + 64 * 1024
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -399,7 +419,7 @@ class TestShrinkage:
     def test_peak_that_is_not_finite_and_positive_is_refused(self, zn, peak):
         # Finite features whose pre-activations overflow would get a zero
         # scale and an H of zeros or NaN; all-zero ones would divide by zero.
-        keys = [(np.random.default_rng(13).uniform(0.5, 1.0, (100, 30)), np.zeros((1, 30)))]
+        keys = (np.random.default_rng(13).uniform(0.5, 1.0, (100, 30)), np.zeros((1, 30)))
         with pytest.raises(ValueError, match="^shrinkage needs a finite, positive "
                                              f"pre-activation peak, got {peak}$"):
             fit_enhancement(zn, keys, "tanh")
@@ -407,7 +427,9 @@ class TestShrinkage:
     def test_preact_ratio_is_one_on_the_fitted_rows_and_fires_beyond_them(self):
         rng = np.random.default_rng(10)
         zn = rng.standard_normal((40, 6)) * 30
-        keys = [(rng.standard_normal((6, k)), rng.uniform(-1, 1, (1, k))) for k in (5, 3)]
+        keys = stacked_key(
+            [(rng.standard_normal((6, k)), rng.uniform(-1, 1, (1, k))) for k in (5, 3)]
+        )
         scaled, _ = fit_enhancement(zn, keys, "tanh")
         health = {}
         h = enhancement_features(zn, scaled, "tanh", health)

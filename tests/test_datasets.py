@@ -422,6 +422,7 @@ def test_synthetic_equals_per_row_reference(n_samples, seed):
     assert np.array_equal(ds.x, x) and np.array_equal(ds.labels, labels)
 
 
+@pytest.mark.one_blas_thread
 def test_blur_equals_scipy_gaussian_filter_bit_for_bit():
     gaussian_filter = pytest.importorskip("scipy.ndimage").gaussian_filter
     rng = np.random.default_rng(30)
@@ -430,6 +431,7 @@ def test_blur_equals_scipy_gaussian_filter_bit_for_bit():
         assert datasets._blur(field).tobytes(order="C") == gaussian_filter(field, sigma=3.0).tobytes()
 
 
+@pytest.mark.one_blas_thread
 def test_synthetic_blocks_equal_per_row_reference(monkeypatch):
     # 70 rows in 16-row blocks: four full blocks and a remainder of six.
     monkeypatch.setattr(datasets, "SYNTHETIC_BLOCK_ROWS", 16)

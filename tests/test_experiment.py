@@ -820,6 +820,7 @@ class TestReadoutAppliesTheModel:
         assert result.report.test_accuracy == accuracy(expected, result.test_labels)
 
 
+@pytest.mark.one_blas_thread
 class TestOneScoringPath:
     """Test rows are scored from their feature blocks, as training rows are.
 
@@ -948,6 +949,7 @@ class TestInputErrorsEndCleanly:
         self._assert_error(result, message)
 
 
+@pytest.mark.one_blas_thread
 class TestWeightParity:
     """Masked and pooled readouts agree in their weights, not only in accuracy.
 

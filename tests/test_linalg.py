@@ -217,6 +217,7 @@ def test_row_mismatch_rejected_on_either_gram(a_shape, y_shape):
         ridge_solve(rng.standard_normal(a_shape), rng.standard_normal(y_shape), 1e-8)
 
 
+@pytest.mark.one_blas_thread
 class TestRidgeSolveBlocks:
     @pytest.mark.parametrize("n", [60, 25], ids=["n>=f", "n<f"])
     def test_matches_the_stacked_solve(self, n):
@@ -269,6 +270,7 @@ def relative_error(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
+@pytest.mark.one_blas_thread
 class TestNumpyCholesky:
     """The readout factors and solves on numpy's BLAS; scipy's Cholesky, which
     it replaced, is the reference for its results and its failure message."""
@@ -324,6 +326,7 @@ class TestNumpyCholesky:
         self.assert_scipy_names_the_same_minor(gram, minor)
 
 
+@pytest.mark.one_blas_thread
 class TestRcondEstimate:
     """``gram_rcond`` comes from a numpy port of LAPACK's ``dlacn2``, driven as
     ``dpocon`` drives it; scipy's ``dpocon``, which it replaced, is the reference."""

@@ -7,12 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from msbls.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden_fingerprint.json"
 
 
 def run_script(name, *args, returncode=0):
@@ -48,15 +50,35 @@ def test_idx_files_feed_the_cli(tmp_path):
     assert result.exit_code == 0, result.output
 
 
-def test_fingerprint_is_reproducible_and_consistent():
+@pytest.fixture(scope="module")
+def smoke_fingerprint():
+    """One smoke fingerprint run's printed JSON, shared by the tests below."""
     # A zero exit means bus and TCP features agree and zero-mask msbls equals nbls.
-    first = run_script("fingerprint.py", "--size", "smoke").stdout
+    return run_script("fingerprint.py", "--size", "smoke").stdout
+
+
+def test_fingerprint_is_reproducible_and_consistent(smoke_fingerprint):
+    first = smoke_fingerprint
     assert run_script("fingerprint.py", "--size", "smoke").stdout == first
     prints = json.loads(first)
     assert sorted(prints["runners"]) == [
         "msbls_bus", "msbls_tcp", "msbls_zero_masks", "nbls", "sbls",
     ]
     assert len(prints["combined"]) == 64
+
+
+def test_fingerprint_matches_the_golden_digests(smoke_fingerprint, tmp_path):
+    # numpy fixes its Generator streams per version only, so the digests hold
+    # for the version that wrote the file; under another one the test skips.
+    golden = json.loads(GOLDEN.read_text())
+    if golden["numpy"] != np.__version__:
+        pytest.skip(f"{GOLDEN.name} holds numpy {golden['numpy']}'s digests, this is "
+                    f"{np.__version__}; regenerate it with: PYTHONPATH=src python "
+                    f"scripts/fingerprint.py --size smoke --golden > tests/{GOLDEN.name}")
+    fresh = tmp_path / "smoke.json"
+    fresh.write_text(smoke_fingerprint)
+    proc = run_script("fingerprint.py", "--compare", str(GOLDEN), str(fresh))
+    assert proc.stdout == "21 of 21 thread-independent digests agree\n"
 
 
 @pytest.mark.parametrize("changed, returncode", [
