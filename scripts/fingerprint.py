@@ -13,8 +13,8 @@ bits.
 
 Digests depend on the machine and its BLAS build, so compare a change with
 its parent on one machine, never across machines. Exits 1 if the bus and
-TCP features differ, or if zero-mask msbls differs from nbls in features,
-weights or predictions.
+TCP features differ, if zero-mask msbls differs from nbls in features,
+weights or predictions, or if msbls and nbls hold different mix keys.
 
 With --golden, prints only the numpy version and the THREAD_INDEPENDENT
 digests: the content of tests/golden_fingerprint.json at --size smoke,
@@ -53,6 +53,7 @@ SPLITS = ("quantity:0.5", "noniid")
 CHECKS = (
     ("msbls_bus", "msbls_tcp", ("train_mapped", "test_mapped")),
     ("msbls_zero_masks", "nbls", ("train_mapped", "test_mapped", "output_weights", "predictions")),
+    ("msbls_bus", "nbls", ("mix_key",)),
 )
 # Artifacts whose digests must not depend on the BLAS thread count: keys,
 # labels and transcripts involve no BLAS sums, and predictions keep their

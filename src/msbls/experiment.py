@@ -1,11 +1,11 @@
 """End-to-end experiment runs and baselines.
 
-Three runners share seeds and derived key streams so they are directly
+Three runners share seeds and derived streams so they are directly
 comparable per seed:
 
 * ``run_msbls``      -- masked joint training: one protocol session for the
-                        training rows, a second session with the persisted
-                        keys (fresh masks) for the test rows.
+                        training rows, a second session with the same keys
+                        (fresh masks) for the test rows.
 * ``run_non_privacy`` -- the same model trained on the directly pooled data
                         with the identical keys; with masking disabled the
                         two produce bit-identical readout weights.
@@ -13,8 +13,10 @@ comparable per seed:
                         own shard only; both are evaluated on the full test
                         set and reported alongside their mean.
 
-Each runner states only its feature map; ``_fit_and_evaluate`` maps the rows,
-fits the readout, scores both row sets and builds the report.
+Each runner states only its keys and its feature map; the two joint runners
+draw their keys with ``FederationKeys.draw`` from the same derived streams.
+``_fit_and_evaluate`` maps the rows, fits the readout, scores both row sets
+and builds the report.
 
 Labels travel outside the feature-generation session: the trainer needs
 them, the protocol never carries them.
@@ -35,7 +37,7 @@ from .datasets import (
     synthetic_desk_dataset,
 )
 from .linalg import RNG_ALGORITHM, RngStream, SolverError, derive_streams
-from .protocol import DEFAULT_MASK_RANGE, PartyRngs, check_mask_range, run_protocol
+from .protocol import DEFAULT_MASK_RANGE, FederationKeys, PartyRngs, check_mask_range, run_protocol
 from .transport import make_bus_endpoints, make_tcp_endpoints
 
 # Positional stream derivation order; part of the reproducibility contract.
@@ -193,7 +195,7 @@ def _seeded_split(seed: int, plan: SplitPlan, *datasets):
 
 def _fit_and_evaluate(baseline: str, dataset: str, config: ExperimentConfig, seed: int,
                       features, train_rows: list, test_rows: list, enh_stream: RngStream,
-                      mix_key: np.ndarray | None = None, sessions=()) -> RunResult:
+                      mix_key: np.ndarray, sessions=()) -> RunResult:
     """Map the training rows, fit the readout, map and score the test rows,
     and build the run's report, model and result.
 
@@ -207,9 +209,10 @@ def _fit_and_evaluate(baseline: str, dataset: str, config: ExperimentConfig, see
     hands each dataset's rows on, so that no frame keeps a split copy once
     it is mapped; the labels are read first and stacked in the same order.
     ``train_time_s`` covers the training features and the fit, not the test
-    features. A masked map appends its protocol sessions to ``sessions``;
-    the first, the training session, holds the mix key and gives the report
-    its message and byte counts.
+    features or the keys, which the runner draws before. ``mix_key`` is the
+    model's. A masked map appends its protocol sessions to ``sessions``; the
+    first, the training session, gives the report its message and byte
+    counts.
     """
     hyper = config.hyper
     train_labels = np.concatenate([part.labels for part in train_rows])
@@ -264,7 +267,7 @@ def _fit_and_evaluate(baseline: str, dataset: str, config: ExperimentConfig, see
         },
     )
     model = bls.BlsModel(
-        mix_key=wire.keys.mix_key if wire else mix_key,
+        mix_key=mix_key,
         enhancement_keys=enh_keys,
         output_weights=weights,
         hyperparams=hyper,
@@ -286,6 +289,7 @@ def run_msbls(train: LabeledDataset, test: LabeledDataset, config: ExperimentCon
     """Protocol-backed training and evaluation for one seed. Both sessions run
     on one endpoint trio, closed when the run returns or raises."""
     streams, train_rows, test_rows = _seeded_split(seed, config.split, train, test)
+    keys = FederationKeys.draw(train.x.shape[1], config.hyper, streams)
     if config.transport == "tcp":
         endpoints = make_tcp_endpoints(listen=config.listen)
     else:
@@ -293,16 +297,11 @@ def run_msbls(train: LabeledDataset, test: LabeledDataset, config: ExperimentCon
     sessions = []
 
     def features(rows):
-        # The training session's parties draw the keys from their streams;
-        # the test session reuses those keys under fresh masks.
-        rngs = PartyRngs(
-            streams["masks_test" if sessions else "masks_train"],
-            streams["key_a"], streams["key_b"], streams["mix"],
-        )
+        # Both sessions map with the run's keys, each under its own masks.
+        rngs = PartyRngs(streams["masks_test" if sessions else "masks_train"])
         # run_protocol drops the popped rows once its clients hold augmented copies.
         session = run_protocol(
-            rows.pop(0).x, rows.pop().x, config.hyper, rngs,
-            keys=sessions[0].keys if sessions else None, endpoints=endpoints,
+            rows.pop(0).x, rows.pop().x, config.hyper, rngs, keys=keys, endpoints=endpoints,
             mask_range=config.mask_range, zero_masks=config.zero_masks,
         )
         # Every party's masks, blinded rows and inputs would otherwise outlive the run.
@@ -313,7 +312,7 @@ def run_msbls(train: LabeledDataset, test: LabeledDataset, config: ExperimentCon
     try:
         return _fit_and_evaluate(
             "msbls", train.name, config, seed, features, train_rows, test_rows,
-            streams["enhancement"], sessions=sessions,
+            streams["enhancement"], keys.mix_key, sessions,
         )
     finally:
         for ep in endpoints.values():
@@ -323,16 +322,13 @@ def run_msbls(train: LabeledDataset, test: LabeledDataset, config: ExperimentCon
 def run_non_privacy(train: LabeledDataset, test: LabeledDataset, config: ExperimentConfig, seed: int) -> RunResult:
     """Directly pooled training with the same derived keys; no protocol."""
     streams, train_rows, test_rows = _seeded_split(seed, config.split, train, test)
-    d, hyper = train.x.shape[1], config.hyper
-    key_a = bls.generate_map_key_half(d, hyper, streams["key_a"])
-    key_b = bls.generate_map_key_half(d, hyper, streams["key_b"])
-    mix_key = bls.generate_mix_key(hyper, streams["mix"])
+    keys = FederationKeys.draw(train.x.shape[1], config.hyper, streams)
     return _fit_and_evaluate(
         "nbls", train.name, config, seed,
         lambda rows: bls.joint_mapped_features(
-            rows.pop(0).x, rows.pop().x, key_a, key_b, mix_key
+            rows.pop(0).x, rows.pop().x, keys.key_a, keys.key_b, keys.mix_key
         ),
-        train_rows, test_rows, streams["enhancement"], mix_key,
+        train_rows, test_rows, streams["enhancement"], keys.mix_key,
     )
 
 

@@ -24,7 +24,7 @@ A mask travels as its seed row, and its receiver expands it into the dense
 mask; B takes A's row count from the seq-3 rows, and A takes B's from seq 8.
 The server removes its own masks from seq5/seq10, through one correction per
 pass computed from the same seeds, to recover the two cross blocks, then
-mixes all four blocks with a locally drawn mix key. Exactly 12
+mixes all four blocks with its mix key. Exactly 12
 matrix-bearing messages are exchanged for any input size. Any out-of-order,
 malformed, or missing message aborts the session: no features are released
 and every party zeroizes its held matrices.
@@ -229,13 +229,16 @@ class Party:
         return [tuple(self.dims[name] for name in names) for names in row[4]]
 
     def _hold_key(self, name: str, key, shape: tuple) -> np.ndarray:
-        """Hold a copy of a persisted or freshly drawn key."""
-        if key is None:
-            raise ValueError(f"{self.role.name} needs a persisted {name} or a key stream")
-        # Copy so a later zeroize cannot destroy caller-persisted keys.
-        held = self._hold(name, as_matrix(np.array(key, dtype=np.float64, copy=True), name))
-        if held.shape != shape:
-            raise ValueError(f"{self.role.name} {name} must be {shape}, got {held.shape}")
+        """Hold a copy of the caller's key, which a zeroize leaves intact. A
+        rejected key wipes this party, which is then never built to be wiped."""
+        try:
+            held = self._hold(name, np.array(key, dtype=np.float64, copy=True))
+            as_matrix(held, name)
+            if held.shape != shape:
+                raise ValueError(f"{self.role.name} {name} must be {shape}, got {held.shape}")
+        except BaseException:
+            self.zeroize()
+            raise
         return held
 
     def view_matrices(self) -> dict[str, np.ndarray]:
@@ -318,8 +321,7 @@ class ServerParty(Party):
         d: int,
         hyper: BlsHyperParams,
         mask_rng: RngStream,
-        mix_rng: RngStream | None = None,
-        mix_key=None,
+        mix_key,
         mask_range: float = DEFAULT_MASK_RANGE,
         zero_masks: bool = False,
     ):
@@ -328,8 +330,6 @@ class ServerParty(Party):
             session_id, Role.SERVER, {"a": n_a, "b": n_b, "d1": d + 1, "h": hyper.half_width}
         )
         width = hyper.mapped_width
-        if mix_key is None and mix_rng is not None:
-            mix_key = generate_mix_key(hyper, mix_rng)
         self.mix_key = self._hold_key("mix_key", mix_key, (width, width))
         # Per client: the pass in which it holds the data, and the names of
         # its cross and own blocks.
@@ -424,16 +424,13 @@ class ClientParty(Party):
         role: Role,
         x,
         hyper: BlsHyperParams,
-        key_rng: RngStream | None = None,
-        key=None,
+        key,
     ):
         x_aug = augment(x)
         rows, d1 = x_aug.shape
         own = "a" if role == Role.CLIENT_A else "b"
         super().__init__(session_id, role, {own: rows, "d1": d1, "h": hyper.half_width})
         self.x_aug = self._hold("x_aug", x_aug)
-        if key is None and key_rng is not None:
-            key = generate_map_key_half(d1 - 1, hyper, key_rng)
         self.key = self._hold_key("key", key, (d1, hyper.half_width))
 
     def _check_seeds(self, msg) -> None:
@@ -493,21 +490,29 @@ class ClientParty(Party):
 
 @dataclass
 class PartyRngs:
-    """Per-role random streams; key streams are unused when keys are reused."""
+    """A session's random stream, from which the server draws its mask seeds."""
 
     mask: RngStream
-    key_a: RngStream | None = None
-    key_b: RngStream | None = None
-    mix: RngStream | None = None
 
 
 @dataclass
 class FederationKeys:
-    """Keys persisted across sessions so test rows map like training rows."""
+    """The joint model's keys: each client's first-stage key half and the
+    server's mix key. A run draws them once, with ``draw``, for every session
+    and for its pooled baseline, so that all of them map rows alike."""
 
     key_a: np.ndarray
     key_b: np.ndarray
     mix_key: np.ndarray
+
+    @classmethod
+    def draw(cls, d: int, hyper: BlsHyperParams, streams) -> FederationKeys:
+        """The keys for ``d`` input columns, from ``streams``' ``key_a``, ``key_b`` and ``mix``."""
+        return cls(
+            key_a=generate_map_key_half(d, hyper, streams["key_a"]),
+            key_b=generate_map_key_half(d, hyper, streams["key_b"]),
+            mix_key=generate_mix_key(hyper, streams["mix"]),
+        )
 
 
 @dataclass
@@ -581,7 +586,7 @@ def run_protocol(
     x_b,
     hyper: BlsHyperParams,
     rngs: PartyRngs,
-    keys: FederationKeys | None = None,
+    keys: FederationKeys,
     endpoints: dict | None = None,
     mask_range: float = DEFAULT_MASK_RANGE,
     zero_masks: bool = False,
@@ -590,12 +595,13 @@ def run_protocol(
 ) -> SessionResult:
     """Run one full 12-message session and return the server-held features.
 
-    ``keys`` reuses persisted per-client key halves and the server mix key
-    (masks are always fresh); otherwise keys are drawn from the per-role
-    streams in ``rngs``. ``endpoints`` defaults to the in-process bus; a TCP
-    endpoint trio gives the identical result bit for bit. Either way the
-    parties run on the calling thread and no thread is started, so an
-    endpoint's ``send`` must not wait for its receiver. ``message_tap``,
+    The caller draws ``keys`` (``FederationKeys.draw``), and the result
+    returns them; each party holds a copy of its own key. The server draws
+    fresh masks from ``rngs``. A set-up error raises ValueError, with every
+    party built so far zeroized. ``endpoints`` defaults to the in-process
+    bus; a TCP endpoint trio gives the identical result bit for bit. Either
+    way the parties run on the calling thread and no thread is started, so
+    an endpoint's ``send`` must not wait for its receiver. ``message_tap``,
     when set, sees every sent message (diagnostics only; the transcript
     itself records metadata, never payloads). ``timeout_s`` bounds every
     TCP receive; it defaults to MSBLS_TIMEOUT_MS
@@ -608,32 +614,24 @@ def run_protocol(
     session_id = new_session_id()
     timeout = transport.receive_timeout_s(timeout_s)
 
-    # The clients validate their own rows; the server takes its dimensions from them.
-    client_a = ClientParty(
-        session_id, Role.CLIENT_A, x_a, hyper,
-        key_rng=rngs.key_a, key=None if keys is None else keys.key_a,
-    )
-    client_b = ClientParty(
-        session_id, Role.CLIENT_B, x_b, hyper,
-        key_rng=rngs.key_b, key=None if keys is None else keys.key_b,
-    )
-    del x_a, x_b  # the clients hold their augmented copies
-    (n_a, d1), (n_b, d1_b) = client_a.x_aug.shape, client_b.x_aug.shape
-    if d1 != d1_b:
-        raise ValueError(f"clients disagree on feature count: {d1 - 1} vs {d1_b - 1}")
-    server = ServerParty(
-        session_id,
-        n_a=n_a,
-        n_b=n_b,
-        d=d1 - 1,
-        hyper=hyper,
-        mask_rng=rngs.mask,
-        mix_rng=rngs.mix,
-        mix_key=None if keys is None else keys.mix_key,
-        mask_range=mask_range,
-        zero_masks=zero_masks,
-    )
-    parties = {Role.SERVER: server, Role.CLIENT_A: client_a, Role.CLIENT_B: client_b}
+    # The clients validate their own rows; the server takes its dimensions
+    # from them. A party that fails to build wipes itself (``_hold_key``).
+    parties = {}
+    try:
+        client_a = parties[Role.CLIENT_A] = ClientParty(session_id, Role.CLIENT_A, x_a, hyper, keys.key_a)
+        client_b = parties[Role.CLIENT_B] = ClientParty(session_id, Role.CLIENT_B, x_b, hyper, keys.key_b)
+        del x_a, x_b  # the clients hold their augmented copies
+        (n_a, d1), (n_b, d1_b) = client_a.x_aug.shape, client_b.x_aug.shape
+        if d1 != d1_b:
+            raise ValueError(f"clients disagree on feature count: {d1 - 1} vs {d1_b - 1}")
+        server = parties[Role.SERVER] = ServerParty(
+            session_id, n_a, n_b, d1 - 1, hyper, rngs.mask, keys.mix_key,
+            mask_range=mask_range, zero_masks=zero_masks,
+        )
+    except BaseException:
+        for party in parties.values():
+            party.zeroize()
+        raise
 
     own_endpoints = endpoints is None
     if own_endpoints:
@@ -674,9 +672,7 @@ def run_protocol(
     transcript.sort(key=lambda e: e.seq)
     return SessionResult(
         mapped_features=server.result(),
-        keys=FederationKeys(
-            key_a=client_a.key, key_b=client_b.key, mix_key=server.mix_key
-        ),
+        keys=keys,
         transcript=transcript,
         parties=parties,
     )

@@ -24,10 +24,11 @@ from msbls.experiment import (
     run_non_privacy,
     run_single_party,
 )
-from msbls.linalg import RngStream, derive_streams, pseudoinverse, ridge_solve
+from msbls.linalg import RngStream, pseudoinverse, ridge_solve
 from msbls.messages import MessageKind, ProtocolMessage, Role
-from msbls.protocol import PartyRngs, ProtocolAbort, run_protocol
+from msbls.protocol import ProtocolAbort, run_protocol
 from msbls.transport import FrameError, decode_message, encode_message, make_bus_endpoints
+from tests.test_protocol import TamperEndpoint, rngs_and_keys
 
 PP = 0.01  # one percentage point
 
@@ -35,11 +36,6 @@ PP = 0.01  # one percentage point
 def _criterion(number, ok, detail):
     print(f"ACCEPTANCE C{number}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {number} failed: {detail}"
-
-
-def _rngs(seed):
-    s = derive_streams(seed, ["mask", "key_a", "key_b", "mix"])
-    return PartyRngs(mask=s["mask"], key_a=s["key_a"], key_b=s["key_b"], mix=s["mix"])
 
 
 def _random_instances(count, seed=2024):
@@ -61,7 +57,7 @@ def protocol_sweep():
     results = []
     start = time.perf_counter()
     for k, hyper, x_a, x_b in _random_instances(100):
-        res = run_protocol(x_a, x_b, hyper, _rngs(k))
+        res = run_protocol(x_a, x_b, hyper, *rngs_and_keys(k, x_a.shape[1], hyper))
         pooled_key = np.hstack([res.keys.key_a, res.keys.key_b])
         oracle = mapped_features_simplified(
             augment(np.vstack([x_a, x_b])), pooled_key, res.keys.mix_key
@@ -90,7 +86,8 @@ def test_c2_message_budget_constant(protocol_sweep):
     hyper = BlsHyperParams(map_groups=1, map_dim=6, enh_groups=1, enh_dim=4)
     rng = np.random.default_rng(7)
     res = run_protocol(
-        rng.uniform(0, 1, (6000, 3)), rng.uniform(0, 1, (4000, 3)), hyper, _rngs(900)
+        rng.uniform(0, 1, (6000, 3)), rng.uniform(0, 1, (4000, 3)), hyper,
+        *rngs_and_keys(900, 3, hyper),
     )
     counts.add(res.message_count)
     ok = counts == {12}
@@ -234,7 +231,8 @@ def test_c8_security_properties():
         hyper = BlsHyperParams(map_groups=1, map_dim=8, enh_groups=1, enh_dim=4)
         to_server = []
         res = run_protocol(
-            x_a, x_b, hyper, _rngs(5000 + seed), mask_range=mask_range,
+            x_a, x_b, hyper, *rngs_and_keys(5000 + seed, x_a.shape[1], hyper),
+            mask_range=mask_range,
             message_tap=lambda m: to_server.append(m) if m.receiver == Role.SERVER else None,
         )
         # View confinement: the server only ever receives products.
@@ -282,15 +280,13 @@ def test_c8_security_properties():
             ambiguity_ok = False
 
     # Abort atomicity: a tampered message leaves zeroized parties, no output.
-    from tests.test_protocol import TamperEndpoint, party_rngs
-
     endpoints = make_bus_endpoints()
     endpoints[Role.CLIENT_B] = TamperEndpoint(endpoints[Role.CLIENT_B], corrupt_seq=3)
     hyper = BlsHyperParams(map_groups=1, map_dim=8, enh_groups=1, enh_dim=4)
     abort_ok = False
     try:
         run_protocol(
-            np.full((3, 2), 0.5), np.full((4, 2), 0.5), hyper, party_rngs(1),
+            np.full((3, 2), 0.5), np.full((4, 2), 0.5), hyper, *rngs_and_keys(1, 2, hyper),
             endpoints=endpoints, timeout_s=2.0,
         )
     except ProtocolAbort as abort:

@@ -13,6 +13,7 @@ from msbls.bls import BlsHyperParams, augment, mapped_features_simplified
 from msbls.linalg import RngStream, derive_streams, random_matrix
 from msbls.messages import SCHEDULE, SEED_DIMS, MessageKind, Role
 from msbls.protocol import (
+    FederationKeys,
     MaskSet,
     PartyRngs,
     ProtocolAbort,
@@ -29,13 +30,15 @@ from msbls.protocol import (
 from msbls.transport import make_bus_endpoints, make_tcp_endpoints
 
 
-def party_rngs(seed):
+def rngs_and_keys(seed, d, hyper):
+    """``run_protocol``'s ``rngs`` and ``keys`` for rows of ``d`` columns,
+    drawn from the streams that ``seed`` derives."""
     s = derive_streams(seed, ["mask", "key_a", "key_b", "mix"])
-    return PartyRngs(mask=s["mask"], key_a=s["key_a"], key_b=s["key_b"], mix=s["mix"])
+    return PartyRngs(mask=s["mask"]), FederationKeys.draw(d, hyper, s)
 
 
 def run_once(xa, xb, hyper, seed=0, **kwargs):
-    return run_protocol(xa, xb, hyper, party_rngs(seed), **kwargs)
+    return run_protocol(xa, xb, hyper, *rngs_and_keys(seed, np.shape(xa)[1], hyper), **kwargs)
 
 
 class TestServerInit:
@@ -43,7 +46,7 @@ class TestServerInit:
         hyper = BlsHyperParams(map_groups=2, map_dim=2, enh_groups=1, enh_dim=2)
         server = ServerParty(
             bytes(16), n_a=2, n_b=2, d=3, hyper=hyper,
-            mask_rng=RngStream(0), mix_rng=RngStream(1),
+            mask_rng=RngStream(0), mix_key=np.eye(hyper.mapped_width),
         )
         assert server.masks_ab.data_mask.shape == (2, 4)
         assert server.masks_ab.key_mask.shape == (4, 2)
@@ -58,7 +61,7 @@ class TestServerInit:
 
         def masks():
             server = ServerParty(
-                bytes(16), 3, 4, 2, hyper, mask_rng=RngStream(9), mix_rng=RngStream(1)
+                bytes(16), 3, 4, 2, hyper, mask_rng=RngStream(9), mix_key=np.eye(hyper.mapped_width)
             )
             return server.masks_ab, server.masks_ba
 
@@ -78,16 +81,9 @@ class TestServerInit:
 
 
 class TestClientKeyErrorsNameTheParty:
-    """A missing or misshapen client key half names the client it belongs to."""
+    """A misshapen client key half names the client it belongs to."""
 
     HYPER = BlsHyperParams(map_groups=2, map_dim=4)  # half width 4
-
-    def test_missing_key_names_the_client(self):
-        with pytest.raises(
-            ValueError, match="^CLIENT_A needs a persisted key or a key stream$"
-        ):
-            run_protocol(np.ones((3, 2)), np.ones((2, 2)), self.HYPER,
-                         PartyRngs(mask=RngStream(0)))
 
     @pytest.mark.parametrize("role", [Role.CLIENT_A, Role.CLIENT_B], ids=lambda r: r.name)
     def test_misshapen_persisted_key_names_the_client(self, role):
@@ -300,7 +296,9 @@ class TestFullSession:
             if not alive:
                 alive.append([ref() is not None for ref in refs])
 
-        run_protocol(rows(9), rows(6), hyper, party_rngs(0), message_tap=tap)
+        # Not unpacked into the call, whose argument tuple would keep the rows.
+        rngs, keys = rngs_and_keys(0, 5, hyper)
+        run_protocol(rows(9), rows(6), hyper, rngs, keys, message_tap=tap)
         assert alive == [[False, False]]
 
     def test_key_reuse_second_session_fresh_masks(self):
@@ -492,8 +490,8 @@ def session_abort(xa, xb, seed, seq=None, tcp=False, timeout_s=2.0, **fault):
         endpoints[at] = FaultyEndpoint(endpoints[at], seq, **fault)
     try:
         with pytest.raises(ProtocolAbort) as excinfo:
-            run_protocol(xa, xb, BlsHyperParams(map_groups=2, map_dim=4), party_rngs(seed),
-                         endpoints=endpoints, timeout_s=timeout_s)
+            run_once(xa, xb, BlsHyperParams(map_groups=2, map_dim=4), seed,
+                     endpoints=endpoints, timeout_s=timeout_s)
     finally:
         for ep in endpoints.values():
             ep.close()
@@ -559,7 +557,7 @@ class TestAbort:
     def test_session_partial_state_not_exposed(self):
         hyper = BlsHyperParams(map_groups=2, map_dim=4)
         server = ServerParty(
-            bytes(16), 2, 2, 2, hyper, mask_rng=RngStream(0), mix_rng=RngStream(1)
+            bytes(16), 2, 2, 2, hyper, mask_rng=RngStream(0), mix_key=np.eye(hyper.mapped_width)
         )
         with pytest.raises(ProtocolAbort):
             server.result()
@@ -568,7 +566,7 @@ class TestAbort:
         # Only run_protocol fills these in, once the session is closed.
         server = ServerParty(
             bytes(16), 2, 2, 2, BlsHyperParams(map_groups=2, map_dim=4),
-            mask_rng=RngStream(0), mix_rng=RngStream(1),
+            mask_rng=RngStream(0), mix_key=np.eye(8),
         )
         with pytest.raises(ProtocolAbort) as excinfo:
             server.result()
@@ -668,6 +666,86 @@ class TestAbort:
             abort = session_abort(*rows, i, seq=seq, tcp=bool(i % 2), timeout_s=5.0,
                                   rewrite=widen_first_payload)
             assert (abort.role, abort.seq) == (RECEIVER_OF_SEQ[seq], seq), i
+
+
+@pytest.fixture
+def ledger(monkeypatch):
+    """Every array that a party holds, as (role, name, array) in hold order,
+    recorded through ``Party._hold``, so that a test can see what was
+    dropped without being wiped."""
+    held = []
+    hold = protocol.Party._hold
+
+    def record(party, name, mat):
+        held.append((party.role, name, mat))
+        return hold(party, name, mat)
+
+    monkeypatch.setattr(protocol.Party, "_hold", record)
+    return held
+
+
+def unwiped(ledger):
+    """The names of the ledger's arrays that are not all zeros."""
+    return [(role.name, name) for role, name, mat in ledger if np.any(mat)]
+
+
+class TestLedger:
+    """What each party holds, wipes and releases, read from the ledger."""
+
+    HYPER = BlsHyperParams(map_groups=2, map_dim=4)  # half width 4, mapped width 8
+
+    @pytest.mark.parametrize("widths, key_a, key_b, mix_key, reason", [
+        ((2, 2), (3, 4), (2, 2), 8, r"CLIENT_B key must be \(3, 4\), got \(2, 2\)"),
+        ((2, 3), (3, 4), (4, 4), 8, "clients disagree on feature count: 2 vs 3"),
+        ((2, 2), (3, 4), (3, 4), 4, r"SERVER mix_key must be \(8, 8\), got \(4, 4\)"),
+    ], ids=["key-b", "widths", "mix-key"])
+    def test_setup_error_wipes_every_party_built(self, ledger, widths, key_a, key_b, mix_key,
+                                                 reason):
+        keys = FederationKeys(np.ones(key_a), np.ones(key_b), np.ones((mix_key, mix_key)))
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            run_protocol(np.ones((3, widths[0])), np.ones((2, widths[1])), self.HYPER,
+                         PartyRngs(mask=RngStream(0)), keys)
+        assert ledger
+        assert unwiped(ledger) == []
+        # The parties wiped their copies, not the caller's keys.
+        assert all(np.all(key == 1) for key in vars(keys).values())
+
+    def test_finished_session_holds_its_named_arrays(self, ledger):
+        res = run_once(*uniform_rows(26), self.HYPER)
+        assert {role: set(party.view_matrices()) for role, party in res.parties.items()} == {
+            Role.SERVER: {
+                "cross_ab", "cross_ba", "mapped_features", "mix_key",
+                "own_a", "own_b", "seeds_ab", "seeds_ba",
+            },
+            **dict.fromkeys((Role.CLIENT_A, Role.CLIENT_B), {
+                "blinded_data", "key", "masked_cross", "own_blinded_key", "own_masked_cross",
+                "own_product", "partial_cross", "peer_blinded_data", "peer_blinded_key", "x_aug",
+            }),
+        }
+
+    def test_arrays_released_mid_session_are_zeros(self, ledger):
+        res = run_once(*uniform_rows(27), self.HYPER)
+        still_held = {id(mat) for party in res.parties.values()
+                      for mat in party.view_matrices().values()}
+        released = [entry for entry in ledger if id(entry[2]) not in still_held]
+        # Per client its data mask, key and cross masks and their two seed
+        # rows; the server's two corrections.
+        assert len(released) == 12
+        assert unwiped(released) == []
+
+    def test_seed_rows_of_the_data_masks_are_wiped_once_expanded(self):
+        # On the bus a received payload is the sent array itself.
+        tapped = []
+        run_once(*uniform_rows(28), self.HYPER, message_tap=tapped.append)
+        seeds = [p for msg in tapped if msg.seq in (1, 6) for p in msg.payloads]
+        assert len(seeds) == 2
+        assert not any(np.any(seed) for seed in seeds)
+
+    @pytest.mark.parametrize("seq", range(1, 13))
+    def test_aborted_session_wipes_every_held_array(self, ledger, seq):
+        session_abort(*uniform_rows(29), 29, seq=seq, rewrite=wrong_seq)
+        assert ledger
+        assert unwiped(ledger) == []
 
 
 def tampered_abort(seq, rewrite):
@@ -792,7 +870,7 @@ class TestSeedRows:
     def test_zero_mask_seed_rows_expand_to_zeros(self):
         hyper = BlsHyperParams(map_groups=2, map_dim=4)
         server = ServerParty(
-            bytes(16), 3, 2, 2, hyper, mask_rng=RngStream(0), mix_rng=RngStream(1),
+            bytes(16), 3, 2, 2, hyper, mask_rng=RngStream(0), mix_key=np.eye(hyper.mapped_width),
             zero_masks=True,
         )
         assert np.all(server.view_matrices()["seeds_ab"][:, -1] == 0)

@@ -14,7 +14,8 @@ from msbls.bls import BlsHyperParams, augment
 from msbls.datasets import synthetic_desk_dataset
 from msbls.linalg import RngStream, derive_streams
 from msbls.messages import MessageKind, Role
-from msbls.protocol import PartyRngs, blind_data, blind_key_and_cross, run_protocol
+from msbls.protocol import FederationKeys, PartyRngs, blind_data, blind_key_and_cross, run_protocol
+from tests.test_protocol import rngs_and_keys
 
 MASK_RANGE = 1e3
 
@@ -23,10 +24,8 @@ def run_session(seed, na=6, nb=9, d=4, tap=None):
     rng = np.random.default_rng(seed)
     xa, xb = rng.uniform(0, 1, (na, d)), rng.uniform(0, 1, (nb, d))
     hyper = BlsHyperParams(map_groups=2, map_dim=4)
-    s = derive_streams(seed, ["mask", "key_a", "key_b", "mix"])
     result = run_protocol(
-        xa, xb, hyper,
-        PartyRngs(mask=s["mask"], key_a=s["key_a"], key_b=s["key_b"], mix=s["mix"]),
+        xa, xb, hyper, *rngs_and_keys(seed, d, hyper),
         mask_range=MASK_RANGE,
         message_tap=tap,
     )
@@ -166,14 +165,10 @@ class TestMaskFreshness:
         hyper = BlsHyperParams(map_groups=2, map_dim=4)
         rng = np.random.default_rng(0)
         xa, xb = rng.uniform(0, 1, (5, 3)), rng.uniform(0, 1, (5, 3))
-        mask_stream = RngStream(42)
-        streams = derive_streams(1, ["key_a", "key_b", "mix"])
-        first = run_protocol(
-            xa, xb, hyper,
-            PartyRngs(mask=mask_stream, key_a=streams["key_a"],
-                      key_b=streams["key_b"], mix=streams["mix"]),
-        )
-        second = run_protocol(xa, xb, hyper, PartyRngs(mask=mask_stream), keys=first.keys)
+        rngs = PartyRngs(mask=RngStream(42))
+        keys = FederationKeys.draw(3, hyper, derive_streams(1, ["key_a", "key_b", "mix"]))
+        first = run_protocol(xa, xb, hyper, rngs, keys)
+        second = run_protocol(xa, xb, hyper, rngs, keys)
         all_masks = []
         for res in (first, second):
             server = res.parties[Role.SERVER]

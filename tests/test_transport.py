@@ -427,13 +427,11 @@ class TestWriteQueue:
     def run_session(trio, seed):
         """One masked session of 2000 + 1500 rows over ``trio``."""
         from msbls.bls import BlsHyperParams
-        from msbls.protocol import run_protocol
-        from tests.test_protocol import party_rngs
+        from tests.test_protocol import run_once
 
         rng = np.random.default_rng(seed)
         xa, xb = rng.uniform(0, 1, (2000, 200)), rng.uniform(0, 1, (1500, 200))
-        res = run_protocol(xa, xb, BlsHyperParams(map_groups=2, map_dim=4), party_rngs(seed),
-                           endpoints=trio)
+        res = run_once(xa, xb, BlsHyperParams(map_groups=2, map_dim=4), seed, endpoints=trio)
         assert res.message_count == 12
 
     def test_completed_session_leaves_nothing_queued(self, tcp_trio):
